@@ -15,10 +15,11 @@ DirectoryMemSys::DirectoryMemSys(const Config &cfg, EventQueue &eq,
 DirEntry &
 DirectoryMemSys::dirAt(Addr line)
 {
-    return dir_
-        .try_emplace(line, DirEntry{SharerTracker(sharer_layout_),
-                                    invalidCore})
-        .first->second;
+    if (DirEntry *e = dir_.find(line))
+        return *e;
+    DirEntry &e = dir_.insert(line);
+    e.sharers = SharerTracker(sharer_layout_);
+    return e;
 }
 
 // ---------------------------------------------------------------------
@@ -458,12 +459,12 @@ DirectoryMemSys::onWbNotice(const Msg &m)
 void
 DirectoryMemSys::onWriteback(CoreId core, Addr line)
 {
-    auto it = dir_.find(line);
-    if (it == dir_.end())
+    DirEntry *e = dir_.find(line);
+    if (e == nullptr)
         return;
-    it->second.sharers.reset(core);
-    if (it->second.owner == core)
-        it->second.owner = invalidCore;
+    e->sharers.reset(core);
+    if (e->owner == core)
+        e->owner = invalidCore;
 }
 
 void
@@ -716,15 +717,13 @@ DirectoryMemSys::handleMsg(const Msg &m)
 const DirEntry *
 DirectoryMemSys::dirEntry(Addr line) const
 {
-    auto it = dir_.find(line);
-    return it == dir_.end() ? nullptr : &it->second;
+    return dir_.find(line);
 }
 
 void
 DirectoryMemSys::checkDirectory() const
 {
-    // lint: allow(unordered-iter) — order-independent assertion scan.
-    for (const auto &[line, e] : dir_) {
+    dir_.forEach([&](Addr line, const DirEntry &e) {
         if (e.owner != invalidCore) {
             SPP_ASSERT(e.sharers.test(e.owner),
                        "owner {} of line {} not in sharer set",
@@ -749,7 +748,7 @@ DirectoryMemSys::checkDirectory() const
                            e.owner);
             }
         }
-    }
+    });
 }
 
 void
@@ -760,15 +759,14 @@ DirectoryMemSys::hashState(StateHasher &h) const
     // injective up to behavioral equivalence in every format (an
     // overflowed limited entry acts the same whatever its retained
     // pointers).
-    // lint: allow(unordered-iter) — commutative fold.
-    for (const auto &[line, e] : dir_) {
+    dir_.forEach([&](Addr line, const DirEntry &e) {
         StateHasher sub;
         sub.mix(line);
         sub.mix(e.owner);
         sub.mix(e.sharers.overflowed());
         hashCoreSet(sub, e.sharers.members());
         h.mixUnordered(sub.value());
-    }
+    });
     txns_.forEach([&](std::uint64_t line, const DirTxn &t) {
         StateHasher sub;
         sub.mix(line);

@@ -119,7 +119,7 @@ class DirectoryMemSys : public MemSys
 
     /** Warm-up-only growth: lines are never removed, so the node
      * churn PooledMap avoids does not occur here. */
-    std::unordered_map<Addr, DirEntry> dir_;
+    PooledMap<DirEntry> dir_;
     SharerLayout sharer_layout_;
     /** One entry per in-flight home transaction: per-miss insert and
      * erase, so entries come from a pool. */

@@ -26,11 +26,11 @@
 #define SPP_COHERENCE_LINE_LOCK_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/pool.hh"
 #include "common/types.hh"
 #include "event/event_queue.hh"
 
@@ -66,8 +66,8 @@ class LineLockTable
     bool
     isLockedByOther(Addr line, const TxnKey &key) const
     {
-        auto it = locks_.find(line);
-        return it != locks_.end() && !(it->second.holder == key);
+        const Entry *e = locks_.find(line);
+        return e != nullptr && !(e->holder == key);
     }
 
     /**
@@ -81,10 +81,9 @@ class LineLockTable
     bool
     acquireOrQueue(Addr line, const TxnKey &key, Continuation waiter)
     {
-        auto [it, inserted] = locks_.try_emplace(line, Entry{key, {}});
-        if (inserted || it->second.holder == key)
+        if (tryAcquire(line, key))
             return true;
-        it->second.waiters.push_back(
+        locks_.find(line)->waiters.push_back(
             Waiter{key, std::move(waiter)});
         return false;
     }
@@ -96,8 +95,12 @@ class LineLockTable
     bool
     tryAcquire(Addr line, const TxnKey &key)
     {
-        auto [it, inserted] = locks_.try_emplace(line, Entry{key, {}});
-        return inserted || it->second.holder == key;
+        Entry *e = locks_.find(line);
+        if (e == nullptr) {
+            locks_.insert(line).holder = key;
+            return true;
+        }
+        return e->holder == key;
     }
 
     /**
@@ -109,23 +112,22 @@ class LineLockTable
     void
     release(Addr line, const TxnKey &key)
     {
-        auto it = locks_.find(line);
-        SPP_ASSERT(it != locks_.end() && it->second.holder == key,
+        Entry *e = locks_.find(line);
+        SPP_ASSERT(e != nullptr && e->holder == key,
                    "release of line {} not held by core {} txn {}",
                    line, key.requester, key.txn);
-        Entry &e = it->second;
-        if (!e.hasWaiters()) {
-            locks_.erase(it);
+        if (!e->hasWaiters()) {
+            locks_.erase(line);
             return;
         }
-        Waiter next = std::move(e.waiters[e.head]);
-        if (++e.head == e.waiters.size()) {
+        Waiter next = std::move(e->waiters[e->head]);
+        if (++e->head == e->waiters.size()) {
             // Drained: keep the vector's capacity for the next
             // contention burst on this line.
-            e.waiters.clear();
-            e.head = 0;
+            e->waiters.clear();
+            e->head = 0;
         }
-        e.holder = next.key;
+        e->holder = next.key;
         next.resume();
     }
 
@@ -141,8 +143,7 @@ class LineLockTable
     void
     hashInto(StateHasher &h) const
     {
-        // lint: allow(unordered-iter) — commutative fold.
-        for (const auto &[line, e] : locks_) {
+        locks_.forEach([&](Addr line, const Entry &e) {
             StateHasher sub;
             sub.mix(line);
             sub.mix(e.holder.requester);
@@ -152,7 +153,7 @@ class LineLockTable
                 sub.mix(e.waiters[i].key.txn);
             }
             h.mixUnordered(sub.value());
-        }
+        });
     }
 
     /** Describe all held locks (deadlock diagnostics). */
@@ -160,9 +161,9 @@ class LineLockTable
     void
     dump(Out &&emit) const
     {
-        // lint: allow(unordered-iter) — diagnostic dump only.
-        for (const auto &[line, entry] : locks_)
-            emit(line, entry.holder, entry.waiterCount());
+        locks_.forEach([&](Addr line, const Entry &e) {
+            emit(line, e.holder, e.waiterCount());
+        });
     }
 
   private:
@@ -185,9 +186,18 @@ class LineLockTable
         {
             return waiters.size() - head;
         }
+
+        /** Pool recycling: reset, keep the queue's capacity. */
+        void
+        poolReset()
+        {
+            holder = {};
+            waiters.clear();
+            head = 0;
+        }
     };
 
-    std::unordered_map<Addr, Entry> locks_;
+    PooledMap<Entry> locks_;
 };
 
 } // namespace spp

@@ -46,10 +46,10 @@ MemSys::access(CoreId core, Addr addr, bool is_write, Pc pc, DoneFn done)
     // A re-reference to a line sitting in the writeback buffer stalls
     // until the writeback drains, then restarts as a normal access.
     if (WbEntry *wb = wb_buffer_[core].find(line)) {
-        DoneFn cb = std::move(done);
         wb->stalled.push_back(
-            [this, core, addr, is_write, pc, cb = std::move(cb)]() {
-                access(core, addr, is_write, pc, cb);
+            [this, core, addr, is_write, pc,
+             done = std::move(done)]() mutable {
+                access(core, addr, is_write, pc, std::move(done));
             });
         return;
     }
@@ -74,7 +74,8 @@ MemSys::access(CoreId core, Addr addr, bool is_write, Pc pc, DoneFn done)
         }
         ++stats_.l1Hits;
         eq_.scheduleAfter(cfg_.l1Latency,
-            [this, done = std::move(done), is_write, issue, version]() {
+            [this, done = std::move(done), is_write, issue,
+             version]() mutable {
                 AccessOutcome out;
                 out.l1Hit = true;
                 out.isWrite = is_write;
@@ -88,9 +89,11 @@ MemSys::access(CoreId core, Addr addr, bool is_write, Pc pc, DoneFn done)
         return;
     }
 
+    // Captures ordered to pack the 16-byte-aligned DoneFn within
+    // EventQueue::actionCapacity (here and on the L2 miss path).
     eq_.scheduleAfter(cfg_.l1Latency,
-        [this, core, addr, is_write, pc, done = std::move(done),
-         issue]() mutable {
+        [this, addr, pc, issue, done = std::move(done), core,
+         is_write]() mutable {
             accessL2(core, addr, is_write, pc, std::move(done), issue);
         });
 }
@@ -124,7 +127,7 @@ MemSys::accessL2(CoreId core, Addr addr, bool is_write, Pc pc,
         const Tick lat = cfg_.l2TagLatency + cfg_.l2DataLatency;
         eq_.scheduleAfter(lat,
             [this, done = std::move(done), is_write, issue_tick,
-             version]() {
+             version]() mutable {
                 AccessOutcome out;
                 out.l2Hit = true;
                 out.isWrite = is_write;
@@ -142,8 +145,8 @@ MemSys::accessL2(CoreId core, Addr addr, bool is_write, Pc pc,
     // lookup determined the miss.
     const bool had_line = l2_line != nullptr;
     eq_.scheduleAfter(cfg_.l2TagLatency,
-        [this, core, line, is_write, pc, done = std::move(done),
-         issue_tick, had_line]() mutable {
+        [this, line, pc, issue_tick, done = std::move(done), core,
+         is_write, had_line]() mutable {
             Mshr &m = mshr_[core].emplace();
             m.core = core;
             m.line = line;
@@ -680,14 +683,14 @@ MemSys::memAccessLatency(Addr line)
 std::uint64_t
 MemSys::memVersion(Addr line) const
 {
-    auto it = mem_version_.find(line);
-    return it == mem_version_.end() ? 0 : it->second;
+    const std::uint64_t *v = mem_version_.find(line);
+    return v != nullptr ? *v : 0;
 }
 
 void
 MemSys::depositMemVersion(Addr line, std::uint64_t version)
 {
-    std::uint64_t &v = mem_version_[line];
+    std::uint64_t &v = mem_version_.findOrInsert(line);
     if (version > v)
         v = version;
 }
@@ -771,13 +774,12 @@ MemSys::hashState(StateHasher &h) const
         h.mix(core.value());
     }
     locks_.hashInto(h);
-    // lint: allow(unordered-iter) — commutative fold.
-    for (const auto &[line, v] : mem_version_) {
+    mem_version_.forEach([&](Addr line, std::uint64_t v) {
         StateHasher sub;
         sub.mix(line);
         sub.mix(v);
         h.mixUnordered(sub.value());
-    }
+    });
     h.mix(version_counter_);
     h.mix(txn_counter_);
     h.mix(outstanding_wb_);

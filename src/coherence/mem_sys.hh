@@ -21,7 +21,6 @@
 #define SPP_COHERENCE_MEM_SYS_HH
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -32,6 +31,7 @@
 #include "common/config.hh"
 #include "common/core_set.hh"
 #include "common/hash.hh"
+#include "common/inline_fn.hh"
 #include "common/pool.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -177,8 +177,13 @@ struct CoreMemStats
 class MemSys
 {
   public:
-    // lint: allow(std-function) — one per core-side access slot, bound at miss issue, not per event.
-    using DoneFn = std::function<void(const AccessOutcome &)>;
+    /**
+     * Access-completion callback. Inline storage: it rides inside
+     * the kernel's event closures and the MSHR, so a capture larger
+     * than two words is a build error, not a per-access allocation.
+     * ThreadContext's completion captures only itself.
+     */
+    using DoneFn = InlineFn<16, const AccessOutcome &>;
 
     MemSys(const Config &cfg, EventQueue &eq, Mesh &mesh,
            DestinationPredictor *predictor);
@@ -351,6 +356,38 @@ class MemSys
         std::uint64_t version = 0;
     };
 
+    /**
+     * A core's MSHR slot: the subset of std::optional's interface the
+     * engines use, except that reset() keeps the Mshr's storage, so
+     * the next miss reuses its CoreSet tails (cores >= 64) instead
+     * of allocating them again.
+     */
+    class MshrSlot
+    {
+      public:
+        bool has_value() const { return live_; }
+        explicit operator bool() const { return live_; }
+        Mshr &operator*() { return m_; }
+        const Mshr &operator*() const { return m_; }
+        Mshr *operator->() { return &m_; }
+        const Mshr *operator->() const { return &m_; }
+
+        /** Start a miss in a freshly reset MSHR. */
+        Mshr &
+        emplace()
+        {
+            m_ = Mshr{};
+            live_ = true;
+            return m_;
+        }
+
+        void reset() { live_ = false; }
+
+      private:
+        Mshr m_;
+        bool live_ = false;
+    };
+
     /** Writeback buffer entry for an evicted owned line. */
     struct WbEntry
     {
@@ -489,14 +526,14 @@ class MemSys
     std::vector<std::unique_ptr<CacheArray>> l1_;
     std::vector<std::unique_ptr<CacheArray>> l2_;
     std::vector<PooledMap<WbEntry>> wb_buffer_;
-    std::vector<std::optional<Mshr>> mshr_;
+    std::vector<MshrSlot> mshr_;
     LineLockTable locks_;
     MemSysStats stats_;
     std::vector<CoreMemStats> core_stats_;
 
     std::uint64_t version_counter_ = 0;
     std::uint64_t txn_counter_ = 0;
-    std::unordered_map<Addr, std::uint64_t> mem_version_;
+    PooledMap<std::uint64_t> mem_version_;
     std::uint64_t outstanding_wb_ = 0;
     ProtocolChecker *checker_ = nullptr;
     DeliveryScheduler *delivery_scheduler_ = nullptr;

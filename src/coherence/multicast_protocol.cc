@@ -13,10 +13,11 @@ MulticastMemSys::MulticastMemSys(const Config &cfg, EventQueue &eq,
 DirEntry &
 MulticastMemSys::dirAt(Addr line)
 {
-    return dir_
-        .try_emplace(line, DirEntry{SharerTracker(sharer_layout_),
-                                    invalidCore})
-        .first->second;
+    if (DirEntry *e = dir_.find(line))
+        return *e;
+    DirEntry &e = dir_.insert(line);
+    e.sharers = SharerTracker(sharer_layout_);
+    return e;
 }
 
 // ---------------------------------------------------------------------
@@ -331,12 +332,12 @@ MulticastMemSys::onWbNotice(const Msg &m)
 void
 MulticastMemSys::onWriteback(CoreId core, Addr line)
 {
-    auto it = dir_.find(line);
-    if (it == dir_.end())
+    DirEntry *e = dir_.find(line);
+    if (e == nullptr)
         return;
-    it->second.sharers.reset(core);
-    if (it->second.owner == core)
-        it->second.owner = invalidCore;
+    e->sharers.reset(core);
+    if (e->owner == core)
+        e->owner = invalidCore;
 }
 
 // ---------------------------------------------------------------------
@@ -489,15 +490,14 @@ void
 MulticastMemSys::hashState(StateHasher &h) const
 {
     MemSys::hashState(h);
-    // lint: allow(unordered-iter) — commutative fold.
-    for (const auto &[line, e] : dir_) {
+    dir_.forEach([&](Addr line, const DirEntry &e) {
         StateHasher sub;
         sub.mix(line);
         sub.mix(e.owner);
         sub.mix(e.sharers.overflowed());
         hashCoreSet(sub, e.sharers.members());
         h.mixUnordered(sub.value());
-    }
+    });
     lingering_.forEach([&](std::uint64_t txn, const Mshr &m) {
         StateHasher sub;
         sub.mix(txn);

@@ -22,7 +22,6 @@
 #ifndef SPP_COHERENCE_MULTICAST_PROTOCOL_HH
 #define SPP_COHERENCE_MULTICAST_PROTOCOL_HH
 
-#include <unordered_map>
 
 #include "coherence/directory_protocol.hh" // DirEntry
 #include "coherence/mem_sys.hh"
@@ -70,8 +69,7 @@ class MulticastMemSys : public MemSys
     const DirEntry *
     dirEntry(Addr line) const
     {
-        auto it = dir_.find(line);
-        return it == dir_.end() ? nullptr : &it->second;
+        return dir_.find(line);
     }
 
   protected:
@@ -103,7 +101,7 @@ class MulticastMemSys : public MemSys
     DirEntry &dirAt(Addr line);
 
     /** Memory-side verification directory. */
-    std::unordered_map<Addr, DirEntry> dir_;
+    PooledMap<DirEntry> dir_;
     SharerLayout sharer_layout_;
     /** Resumed-but-not-drained transactions, keyed by txn id;
      * per-miss churn, so entries come from a pool. */

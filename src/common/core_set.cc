@@ -38,10 +38,10 @@ CoreSet::toHex() const
     static const char digits[] = "0123456789abcdef";
     std::string s;
     bool leading = true;
-    for (unsigned w = nWords; w-- > 0;) {
+    for (unsigned w = wordLimit(); w-- > 0;) {
         for (unsigned nib = 16; nib-- > 0;) {
             const unsigned d =
-                static_cast<unsigned>(w_[w] >> (nib * 4)) & 0xf;
+                static_cast<unsigned>(word(w) >> (nib * 4)) & 0xf;
             if (leading && d == 0)
                 continue;
             leading = false;
@@ -56,7 +56,7 @@ CoreSet::toHex() const
 CoreSet
 CoreSet::fromHex(const std::string &hex)
 {
-    SPP_ASSERT(!hex.empty() && hex.size() <= nWords * 16,
+    SPP_ASSERT(!hex.empty() && hex.size() <= maxHexDigits,
                "malformed CoreSet hex string '{}'", hex);
     CoreSet s;
     unsigned nib = 0; // Nibble position from the least significant end.
@@ -71,7 +71,13 @@ CoreSet::fromHex(const std::string &hex)
             d = static_cast<unsigned>(c - 'A') + 10;
         else
             SPP_FATAL("malformed CoreSet hex string '{}'", hex);
-        s.w_[nib / 16] |= static_cast<Word>(d) << (nib % 16 * 4);
+        if (d == 0)
+            continue;
+        const Word bits = static_cast<Word>(d) << (nib % 16 * 4);
+        if (nib < 16)
+            s.w0_ |= bits;
+        else
+            s.ownTail()[nib / 16 - 1] |= bits;
     }
     return s;
 }

@@ -1,6 +1,7 @@
 /**
  * @file
- * InlineFn: a move-only `void()` callable with fixed inline storage.
+ * InlineFn: a move-only `void(Args...)` callable with fixed inline
+ * storage.
  *
  * The event kernel schedules millions of small closures per run;
  * `std::function`'s small-buffer optimization (16 bytes in libstdc++)
@@ -11,8 +12,8 @@
  * compile time, so a grown capture list is a build error rather than
  * a silent return of per-event malloc traffic.
  *
- * Only the `void()` signature is provided; it is the only one the
- * kernel needs.
+ * Only `void`-returning signatures are provided: event actions take
+ * no arguments, memory-access completions take the access outcome.
  */
 
 #ifndef SPP_COMMON_INLINE_FN_HH
@@ -25,7 +26,7 @@
 
 namespace spp {
 
-template <std::size_t Capacity>
+template <std::size_t Capacity, typename... Args>
 class InlineFn
 {
   public:
@@ -35,7 +36,8 @@ class InlineFn
     template <typename F,
               typename = std::enable_if_t<
                   !std::is_same_v<std::decay_t<F>, InlineFn> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
+                  std::is_invocable_r_v<void, std::decay_t<F> &,
+                                        Args...>>>
     InlineFn(F &&fn)
     {
         using Fn = std::decay_t<F>;
@@ -68,9 +70,9 @@ class InlineFn
     explicit operator bool() const { return ops_ != nullptr; }
 
     void
-    operator()()
+    operator()(Args... args)
     {
-        ops_->invoke(buf_);
+        ops_->invoke(buf_, std::forward<Args>(args)...);
     }
 
     void
@@ -85,14 +87,16 @@ class InlineFn
   private:
     struct Ops
     {
-        void (*invoke)(void *);
+        void (*invoke)(void *, Args...);
         void (*relocate)(void *dst, void *src); ///< Move + destroy src.
         void (*destroy)(void *);
     };
 
     template <typename Fn>
     static constexpr Ops opsFor = {
-        [](void *p) { (*static_cast<Fn *>(p))(); },
+        [](void *p, Args... args) {
+            (*static_cast<Fn *>(p))(std::forward<Args>(args)...);
+        },
         [](void *dst, void *src) {
             Fn *s = static_cast<Fn *>(src);
             ::new (dst) Fn(std::move(*s));

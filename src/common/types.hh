@@ -32,17 +32,12 @@ inline constexpr CoreId invalidCore = ~CoreId{0};
 inline constexpr Tick maxTick = ~Tick{0};
 
 /**
- * Hard upper bound on system size: the compile-time capacity of
- * CoreSet's multi-word bit mask. Override with -DSPP_MAX_CORES=N to
- * trade CoreSet footprint against maximum machine size; the default
- * covers a 32x32 mesh.
+ * Largest supported system (a 32x32 mesh): the bound Config
+ * validation and the CLI parsers check core counts against. CoreSet
+ * storage does not scale with it up to 64 cores; larger sets carry a
+ * heap tail of maxCores / 8 - 8 bytes (see common/core_set.hh).
  */
-#ifndef SPP_MAX_CORES
-#define SPP_MAX_CORES 1024
-#endif
-inline constexpr unsigned maxCores = SPP_MAX_CORES;
-static_assert(maxCores >= 2 && maxCores <= 65536,
-              "SPP_MAX_CORES out of the supported [2, 65536] range");
+inline constexpr unsigned maxCores = 1024;
 
 /** Modelled physical address width; storage cost models derive tag
  * widths from this rather than hard-coding them. */

@@ -26,43 +26,6 @@ Mesh::hops(CoreId src, CoreId dst) const
     return static_cast<unsigned>(std::abs(sx - dx) + std::abs(sy - dy));
 }
 
-std::size_t
-Mesh::linkIndex(unsigned a, unsigned b) const
-{
-    // Direction encoding: 0 = +X, 1 = -X, 2 = +Y, 3 = -Y.
-    unsigned dir;
-    if (b == a + 1) {
-        dir = 0;
-    } else if (b + 1 == a) {
-        dir = 1;
-    } else if (b == a + cfg_.meshX) {
-        dir = 2;
-    } else {
-        SPP_ASSERT(b + cfg_.meshX == a, "non-adjacent hop {} -> {}", a, b);
-        dir = 3;
-    }
-    return static_cast<std::size_t>(a) * 4 + dir;
-}
-
-void
-Mesh::route(CoreId src, CoreId dst, std::vector<unsigned> &path) const
-{
-    path.clear();
-    unsigned cur = src;
-    path.push_back(cur);
-    const unsigned dst_x = dst % cfg_.meshX;
-    // X dimension first...
-    while (cur % cfg_.meshX != dst_x) {
-        cur = cur % cfg_.meshX < dst_x ? cur + 1 : cur - 1;
-        path.push_back(cur);
-    }
-    // ...then Y.
-    while (cur != dst) {
-        cur = cur < dst ? cur + cfg_.meshX : cur - cfg_.meshX;
-        path.push_back(cur);
-    }
-}
-
 Tick
 Mesh::zeroLoadLatency(unsigned n_hops, unsigned bytes) const
 {
@@ -105,21 +68,32 @@ Mesh::inject(const Packet &pkt)
         const Tick serialization =
             (pkt.bytes + cfg_.linkBytesPerCycle - 1) /
             cfg_.linkBytesPerCycle;
-        route(pkt.src, pkt.dst, path_scratch_);
         // Head traversal with per-link reservation: the head may wait
         // for a busy link; each link stays busy for the packet's
         // serialization time once the head passes.
         Tick head = now + cfg_.routerLatency;
-        for (std::size_t i = 0; i + 1 < path_scratch_.size(); ++i) {
-            const std::size_t idx =
-                linkIndex(path_scratch_[i], path_scratch_[i + 1]);
+        auto cross = [&](unsigned tile, unsigned dir) {
+            const std::size_t idx = std::size_t{tile} * 4 + dir;
             Tick &free_at = link_free_[idx];
             if (free_at > head)
                 head = free_at;              // Queueing delay.
             free_at = head + serialization;  // Occupy for the body.
             link_busy_[idx] += serialization;
             head += cfg_.linkLatency + cfg_.routerLatency;
-        }
+        };
+        // Dimension-order route: X hops first, then Y. Each hop leaves
+        // tile `cur` on its +X (0), -X (1), +Y (2) or -Y (3) link.
+        const unsigned mx = cfg_.meshX;
+        const unsigned dst_x = pkt.dst % mx;
+        unsigned cur = pkt.src;
+        for (; cur % mx < dst_x; ++cur)
+            cross(cur, 0);
+        for (; cur % mx > dst_x; --cur)
+            cross(cur, 1);
+        for (; cur < pkt.dst; cur += mx)
+            cross(cur, 2);
+        for (; cur > pkt.dst; cur -= mx)
+            cross(cur, 3);
         // Tail arrives a serialization time after the head.
         arrive = head + serialization;
     }

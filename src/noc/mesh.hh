@@ -111,13 +111,6 @@ class Mesh
     void setSelfProfiler(SelfProfiler *p) { self_prof_ = p; }
 
   private:
-    /** Index of the directional link from tile @p a to neighbour b. */
-    std::size_t linkIndex(unsigned a, unsigned b) const;
-
-    /** Enumerate the tile sequence of the X-Y route src -> dst. */
-    void route(CoreId src, CoreId dst,
-               std::vector<unsigned> &path) const;
-
     const Config &cfg_;
     EventQueue &eq_;
     unsigned n_cores_;
@@ -127,8 +120,6 @@ class Mesh
     std::vector<std::uint64_t> link_busy_;
     NocStats stats_;
     SelfProfiler *self_prof_ = nullptr;
-    /** Scratch buffer reused by send() to avoid per-packet allocs. */
-    std::vector<unsigned> path_scratch_;
 };
 
 } // namespace spp

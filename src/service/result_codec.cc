@@ -351,7 +351,7 @@ coreSetFromJson(const Json &j, CoreSet &out, std::string &err)
     const std::string &hex = j.asString();
     // Pre-validate: CoreSet::fromHex() is fatal on malformed input,
     // and a corrupt store entry must decode-fail, not abort.
-    if (hex.empty() || hex.size() > CoreSet::nWords * 16 ||
+    if (hex.empty() || hex.size() > CoreSet::maxHexDigits ||
         hex.find_first_not_of("0123456789abcdefABCDEF") !=
             std::string::npos) {
         err = "malformed miss-target hex string '" + hex + "'";

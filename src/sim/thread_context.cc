@@ -1,26 +1,8 @@
 #include "sim/thread_context.hh"
 
 #include "sim/cmp_system.hh"
-#include "trace/format.hh"
 
 namespace spp {
-
-namespace {
-
-/**
- * Report one semantic op to the attached trace sink, if any. Ops are
- * recorded at factory-call time — i.e. in per-thread program order,
- * before any of the op's internal memory traffic — which is exactly
- * the order a replay must re-issue them in.
- */
-void
-recordOp(CmpSystem &sys, CoreId core, const TraceOp &op)
-{
-    if (TraceSink *sink = sys.traceSink())
-        sink->record(core, op);
-}
-
-} // namespace
 
 ThreadContext::ThreadContext(CmpSystem &sys, CoreId core,
                              unsigned n_threads, std::uint64_t seed)
@@ -52,242 +34,206 @@ ThreadContext::privOf(CoreId t, std::uint64_t index) const
 void
 ThreadContext::mem(Addr addr, bool is_write, Pc pc, Action done)
 {
+    mem_done_ = std::move(done);
+    mem_addr_ = addr;
+    mem_pc_ = pc;
     sys_.memSys().access(core_, addr, is_write, pc,
-        [this, addr, pc, done = std::move(done)](
-            const AccessOutcome &out) {
-            last_outcome_ = out;
-            if (sys_.accessObserver())
-                sys_.accessObserver()(core_, addr, pc, out);
-            done();
-        });
+        [this](const AccessOutcome &out) { memDone(out); });
+}
+
+void
+ThreadContext::memDone(const AccessOutcome &out)
+{
+    last_outcome_ = out;
+    if (sys_.accessObserver())
+        sys_.accessObserver()(core_, mem_addr_, mem_pc_, out);
+    // Take the continuation out of its slot first: it may issue the
+    // thread's next access, which refills the slot.
+    Action done = std::move(mem_done_);
+    done();
+}
+
+void
+ThreadContext::finishOp()
+{
+    Action done = std::move(op_done_);
+    done();
+}
+
+ThreadContext::Op
+ThreadContext::makeOp(const TraceOp &op)
+{
+    // Ops are recorded at factory-call time — i.e. in per-thread
+    // program order, before any of the op's internal memory traffic —
+    // which is exactly the order a replay must re-issue them in.
+    if (TraceSink *sink = sys_.traceSink())
+        sink->record(core_, op);
+    return Op{this, op};
 }
 
 ThreadContext::Op
 ThreadContext::read(Addr addr, Pc pc)
 {
-    recordOp(sys_, core_, {TraceOpKind::read, addr, pc, 0});
-    return Op{this, [this, addr, pc](Action resume) {
-        mem(addr, false, pc, std::move(resume));
-    }};
+    return makeOp({TraceOpKind::read, addr, pc, 0});
 }
 
 ThreadContext::Op
 ThreadContext::write(Addr addr, Pc pc)
 {
-    recordOp(sys_, core_, {TraceOpKind::write, addr, pc, 0});
-    return Op{this, [this, addr, pc](Action resume) {
-        mem(addr, true, pc, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::doCompute(std::uint64_t instructions, Action done)
-{
-    // 2-issue in-order core: IPC of 2 on compute bursts.
-    const Tick delay = (instructions + 1) / 2;
-    sys_.eventQueue().scheduleAfter(delay > 0 ? delay : 1,
-                                    std::move(done));
+    return makeOp({TraceOpKind::write, addr, pc, 0});
 }
 
 ThreadContext::Op
 ThreadContext::compute(std::uint64_t instructions)
 {
-    recordOp(sys_, core_,
-             {TraceOpKind::compute, 0, 0, instructions});
-    return Op{this, [this, instructions](Action resume) {
-        doCompute(instructions, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::doBarrier(unsigned id, Pc sid, Action done)
-{
-    SyncManager &mgr = sys_.syncManager();
-    // Arrival: write the barrier counter line (contended), then
-    // block; on release read the generation flag written by the
-    // last arriver, then continue into the new epoch.
-    mem(mgr.barrierAddr(id), true, layout::syncPcBase + id,
-        [this, id, sid, done = std::move(done)]() {
-            SyncManager &m = sys_.syncManager();
-            m.barrierArrive(core_, id, n_threads_, sid,
-                [this, id, done = std::move(done)]() {
-                    SyncManager &mm = sys_.syncManager();
-                    mem(mm.barrierGenAddr(id), false,
-                        layout::syncPcBase + 0x1000 + id,
-                        std::move(done));
-                });
-        });
+    return makeOp({TraceOpKind::compute, 0, 0, instructions});
 }
 
 ThreadContext::Op
 ThreadContext::barrier(unsigned id, Pc sid)
 {
-    recordOp(sys_, core_, {TraceOpKind::barrier, 0, sid, id});
-    return Op{this, [this, id, sid](Action resume) {
-        doBarrier(id, sid, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::doLock(unsigned id, Action done)
-{
-    sys_.syncManager().lockAcquire(core_, id,
-        [this, id, done = std::move(done)]() {
-            // Lock-word read-modify-write: communicates with the
-            // previous holder (migratory pattern).
-            mem(sys_.syncManager().lockAddr(id), true,
-                layout::syncPcBase + 0x2000 + id,
-                std::move(done));
-        });
+    return makeOp({TraceOpKind::barrier, 0, sid, id});
 }
 
 ThreadContext::Op
 ThreadContext::lock(unsigned id)
 {
-    recordOp(sys_, core_, {TraceOpKind::lock, 0, 0, id});
-    return Op{this, [this, id](Action resume) {
-        doLock(id, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::doUnlock(unsigned id, Action done)
-{
-    // Release store on the lock word, then hand the lock over.
-    mem(sys_.syncManager().lockAddr(id), true,
-        layout::syncPcBase + 0x3000 + id,
-        [this, id, done = std::move(done)]() {
-            sys_.syncManager().lockRelease(core_, id);
-            done();
-        });
+    return makeOp({TraceOpKind::lock, 0, 0, id});
 }
 
 ThreadContext::Op
 ThreadContext::unlock(unsigned id)
 {
-    recordOp(sys_, core_, {TraceOpKind::unlock, 0, 0, id});
-    return Op{this, [this, id](Action resume) {
-        doUnlock(id, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::doCondWait(unsigned id, Pc sid, Action done)
-{
-    sys_.syncManager().condWait(core_, id, sid,
-        [this, id, done = std::move(done)]() {
-            // Read the state the signaller published.
-            mem(sys_.syncManager().condAddr(id), false,
-                layout::syncPcBase + 0x4000 + id,
-                std::move(done));
-        });
+    return makeOp({TraceOpKind::unlock, 0, 0, id});
 }
 
 ThreadContext::Op
 ThreadContext::condWait(unsigned id, Pc sid)
 {
-    recordOp(sys_, core_, {TraceOpKind::condWait, 0, sid, id});
-    return Op{this, [this, id, sid](Action resume) {
-        doCondWait(id, sid, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::doCondSignal(unsigned id, Pc sid, Action done)
-{
-    mem(sys_.syncManager().condAddr(id), true,
-        layout::syncPcBase + 0x5000 + id,
-        [this, id, sid, done = std::move(done)]() {
-            sys_.syncManager().condSignal(core_, id, sid);
-            done();
-        });
+    return makeOp({TraceOpKind::condWait, 0, sid, id});
 }
 
 ThreadContext::Op
 ThreadContext::condSignal(unsigned id, Pc sid)
 {
-    recordOp(sys_, core_, {TraceOpKind::condSignal, 0, sid, id});
-    return Op{this, [this, id, sid](Action resume) {
-        doCondSignal(id, sid, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::doCondBroadcast(unsigned id, Pc sid, Action done)
-{
-    mem(sys_.syncManager().condAddr(id), true,
-        layout::syncPcBase + 0x6000 + id,
-        [this, id, sid, done = std::move(done)]() {
-            sys_.syncManager().condBroadcast(core_, id, sid);
-            done();
-        });
+    return makeOp({TraceOpKind::condSignal, 0, sid, id});
 }
 
 ThreadContext::Op
 ThreadContext::condBroadcast(unsigned id, Pc sid)
 {
-    recordOp(sys_, core_,
-             {TraceOpKind::condBroadcast, 0, sid, id});
-    return Op{this, [this, id, sid](Action resume) {
-        doCondBroadcast(id, sid, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::doSemPost(unsigned id, Pc sid, Action done)
-{
-    // Publish the produced state, then post the token.
-    mem(sys_.syncManager().condAddr(id), true,
-        layout::syncPcBase + 0x7000 + id,
-        [this, id, sid, done = std::move(done)]() {
-            sys_.syncManager().semPost(core_, id, sid);
-            done();
-        });
+    return makeOp({TraceOpKind::condBroadcast, 0, sid, id});
 }
 
 ThreadContext::Op
 ThreadContext::semPost(unsigned id, Pc sid)
 {
-    recordOp(sys_, core_, {TraceOpKind::semPost, 0, sid, id});
-    return Op{this, [this, id, sid](Action resume) {
-        doSemPost(id, sid, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::doSemWait(unsigned id, Pc sid, Action done)
-{
-    sys_.syncManager().semWait(core_, id, sid,
-        [this, id, done = std::move(done)]() {
-            // Consume: read the state the producer published.
-            mem(sys_.syncManager().condAddr(id), false,
-                layout::syncPcBase + 0x8000 + id,
-                std::move(done));
-        });
+    return makeOp({TraceOpKind::semPost, 0, sid, id});
 }
 
 ThreadContext::Op
 ThreadContext::semWait(unsigned id, Pc sid)
 {
-    recordOp(sys_, core_, {TraceOpKind::semWait, 0, sid, id});
-    return Op{this, [this, id, sid](Action resume) {
-        doSemWait(id, sid, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::doJoin(Pc sid, Action done)
-{
-    sys_.syncManager().joinAll(core_, sid, std::move(done));
+    return makeOp({TraceOpKind::semWait, 0, sid, id});
 }
 
 ThreadContext::Op
 ThreadContext::join(Pc sid)
 {
-    recordOp(sys_, core_, {TraceOpKind::join, 0, sid, 0});
-    return Op{this, [this, sid](Action resume) {
-        doJoin(sid, std::move(resume));
-    }};
+    return makeOp({TraceOpKind::join, 0, sid, 0});
+}
+
+void
+ThreadContext::doBarrier()
+{
+    // Arrival: write the barrier counter line (contended), then
+    // block; on release read the generation flag written by the
+    // last arriver, then continue into the new epoch.
+    mem(sys_.syncManager().barrierAddr(opId()), true,
+        layout::syncPcBase + opId(), [this]() {
+            sys_.syncManager().barrierArrive(
+                core_, opId(), n_threads_, op_.pc, [this]() {
+                    mem(sys_.syncManager().barrierGenAddr(opId()),
+                        false, layout::syncPcBase + 0x1000 + opId(),
+                        std::move(op_done_));
+                });
+        });
+}
+
+void
+ThreadContext::doLock()
+{
+    sys_.syncManager().lockAcquire(core_, opId(), [this]() {
+        // Lock-word read-modify-write: communicates with the
+        // previous holder (migratory pattern).
+        mem(sys_.syncManager().lockAddr(opId()), true,
+            layout::syncPcBase + 0x2000 + opId(),
+            std::move(op_done_));
+    });
+}
+
+void
+ThreadContext::doUnlock()
+{
+    // Release store on the lock word, then hand the lock over.
+    mem(sys_.syncManager().lockAddr(opId()), true,
+        layout::syncPcBase + 0x3000 + opId(), [this]() {
+            sys_.syncManager().lockRelease(core_, opId());
+            finishOp();
+        });
+}
+
+void
+ThreadContext::doCondWait()
+{
+    sys_.syncManager().condWait(core_, opId(), op_.pc, [this]() {
+        // Read the state the signaller published.
+        mem(sys_.syncManager().condAddr(opId()), false,
+            layout::syncPcBase + 0x4000 + opId(),
+            std::move(op_done_));
+    });
+}
+
+void
+ThreadContext::doCondSignal()
+{
+    mem(sys_.syncManager().condAddr(opId()), true,
+        layout::syncPcBase + 0x5000 + opId(), [this]() {
+            sys_.syncManager().condSignal(core_, opId(), op_.pc);
+            finishOp();
+        });
+}
+
+void
+ThreadContext::doCondBroadcast()
+{
+    mem(sys_.syncManager().condAddr(opId()), true,
+        layout::syncPcBase + 0x6000 + opId(), [this]() {
+            sys_.syncManager().condBroadcast(core_, opId(), op_.pc);
+            finishOp();
+        });
+}
+
+void
+ThreadContext::doSemPost()
+{
+    // Publish the produced state, then post the token.
+    mem(sys_.syncManager().condAddr(opId()), true,
+        layout::syncPcBase + 0x7000 + opId(), [this]() {
+            sys_.syncManager().semPost(core_, opId(), op_.pc);
+            finishOp();
+        });
+}
+
+void
+ThreadContext::doSemWait()
+{
+    sys_.syncManager().semWait(core_, opId(), op_.pc, [this]() {
+        // Consume: read the state the producer published.
+        mem(sys_.syncManager().condAddr(opId()), false,
+            layout::syncPcBase + 0x8000 + opId(),
+            std::move(op_done_));
+    });
 }
 
 void
@@ -304,41 +250,48 @@ ThreadContext::issueTraceOp(const TraceOp &op, Action done)
         return;
     }
     if (op.kind == TraceOpKind::compute) {
-        doCompute(op.arg, std::move(done));
+        // 2-issue in-order core: IPC of 2 on compute bursts.
+        const Tick delay = (op.arg + 1) / 2;
+        sys_.eventQueue().scheduleAfter(delay > 0 ? delay : 1,
+                                        std::move(done));
         return;
     }
-    const auto id = static_cast<unsigned>(op.arg);
+    // A sync op: park it and its completion; the steps below run as
+    // `this`-only callbacks from the memory system and sync manager.
+    op_ = op;
+    op_done_ = std::move(done);
     switch (op.kind) {
       case TraceOpKind::read:
       case TraceOpKind::write:
       case TraceOpKind::compute:
         break;
       case TraceOpKind::barrier:
-        doBarrier(id, op.pc, std::move(done));
+        doBarrier();
         break;
       case TraceOpKind::lock:
-        doLock(id, std::move(done));
+        doLock();
         break;
       case TraceOpKind::unlock:
-        doUnlock(id, std::move(done));
+        doUnlock();
         break;
       case TraceOpKind::condWait:
-        doCondWait(id, op.pc, std::move(done));
+        doCondWait();
         break;
       case TraceOpKind::condSignal:
-        doCondSignal(id, op.pc, std::move(done));
+        doCondSignal();
         break;
       case TraceOpKind::condBroadcast:
-        doCondBroadcast(id, op.pc, std::move(done));
+        doCondBroadcast();
         break;
       case TraceOpKind::semPost:
-        doSemPost(id, op.pc, std::move(done));
+        doSemPost();
         break;
       case TraceOpKind::semWait:
-        doSemWait(id, op.pc, std::move(done));
+        doSemWait();
         break;
       case TraceOpKind::join:
-        doJoin(op.pc, std::move(done));
+        sys_.syncManager().joinAll(core_, op.pc,
+                                   [this]() { finishOp(); });
         break;
     }
 }

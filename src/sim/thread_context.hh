@@ -15,17 +15,17 @@
 #define SPP_SIM_THREAD_CONTEXT_HH
 
 #include <coroutine>
-#include <functional>
 
 #include "coherence/mem_sys.hh"
+#include "common/inline_fn.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "sync/sync_manager.hh"
+#include "trace/format.hh"
 
 namespace spp {
 
 class CmpSystem;
-struct TraceOp;
 
 /** Shared-memory layout constants used by workloads. */
 namespace layout {
@@ -42,12 +42,21 @@ inline constexpr Pc syncPcBase = 0xff00'0000;
 
 /**
  * The per-thread execution context.
+ *
+ * Every operation, awaited by a workload coroutine or issued by a
+ * trace replay, goes through one dispatch path: issueTraceOp(). A
+ * thread has at most one operation in flight, so the operation, its
+ * completion and the pending memory access's continuation are parked
+ * in per-thread slots, and the closures handed to the memory system
+ * and the sync manager capture only `this`. Issuing a read or write
+ * allocates nothing, whether it hits or misses.
  */
 class ThreadContext
 {
   public:
-    // lint: allow(std-function) — coroutine resume capsule; one live per blocked thread.
-    using Action = std::function<void()>;
+    /** Completion of one issued operation: resumes the awaiting
+     * coroutine or advances a replay chain. Inline storage. */
+    using Action = InlineFn<16>;
 
     ThreadContext(CmpSystem &sys, CoreId core, unsigned n_threads,
                   std::uint64_t seed);
@@ -63,19 +72,18 @@ class ThreadContext
     /** Address of thread @p t's private line #@p index (sharing). */
     Addr privOf(CoreId t, std::uint64_t index) const;
 
-    /** Awaitable wrapper around a callback-style operation. */
+    /** Awaitable form of one operation: issued on suspension. */
     struct Op
     {
         ThreadContext *tc;
-        // lint: allow(std-function) — one per co_await suspension, not per event.
-        std::function<void(Action)> fn;
+        TraceOp op;
 
         bool await_ready() const noexcept { return false; }
 
         void
         await_suspend(std::coroutine_handle<> h)
         {
-            fn([h]() { h.resume(); });
+            tc->issueTraceOp(op, [h]() { h.resume(); });
         }
 
         AccessOutcome await_resume() const { return tc->last_outcome_; }
@@ -107,38 +115,52 @@ class ThreadContext
     /** Wait for all other threads to finish. */
     Op join(Pc sid);
 
-    /** Callback-style memory access (used by the Op wrappers). */
-    void mem(Addr addr, bool is_write, Pc pc, Action done);
-
     /**
-     * Issue a recorded op's underlying machine operations and run
-     * @p done at completion: the trace-replay entry point,
-     * equivalent to awaiting the corresponding factory Op but
-     * without the awaitable wrapper (and without reporting to the
-     * trace sink — a replay is not re-recorded).
+     * Issue @p op's underlying machine operations and run @p done at
+     * completion. Awaiting a factory Op calls this; so does trace
+     * replay, which does not report to the trace sink (a replay is
+     * not re-recorded).
      */
     void issueTraceOp(const TraceOp &op, Action done);
 
   private:
-    // Callback bodies of the sync-primitive Ops; the factories wrap
-    // them in awaitables (and record them), issueTraceOp() calls
-    // them directly.
-    void doCompute(std::uint64_t instructions, Action done);
-    void doBarrier(unsigned id, Pc sid, Action done);
-    void doLock(unsigned id, Action done);
-    void doUnlock(unsigned id, Action done);
-    void doCondWait(unsigned id, Pc sid, Action done);
-    void doCondSignal(unsigned id, Pc sid, Action done);
-    void doCondBroadcast(unsigned id, Pc sid, Action done);
-    void doSemPost(unsigned id, Pc sid, Action done);
-    void doSemWait(unsigned id, Pc sid, Action done);
-    void doJoin(Pc sid, Action done);
+    /** Record @p op with the trace sink (if any) and wrap it. */
+    Op makeOp(const TraceOp &op);
+
+    /** Memory access; @p done runs after last_outcome_ is set. */
+    void mem(Addr addr, bool is_write, Pc pc, Action done);
+    /** MemSys completion of the access mem() issued. */
+    void memDone(const AccessOutcome &out);
+    /** Run (and clear) the parked sync op's completion. */
+    void finishOp();
+    /** The parked sync op's primitive id. */
+    unsigned opId() const { return static_cast<unsigned>(op_.arg); }
+
+    // Bodies of the sync ops. Each reads the parked op_ and ends by
+    // running op_done_: via finishOp(), or by handing it to its last
+    // access as that access's continuation.
+    void doBarrier();
+    void doLock();
+    void doUnlock();
+    void doCondWait();
+    void doCondSignal();
+    void doCondBroadcast();
+    void doSemPost();
+    void doSemWait();
 
     CmpSystem &sys_;
     CoreId core_;
     unsigned n_threads_;
     Rng rng_;
     AccessOutcome last_outcome_;
+
+    /** The sync op in flight and its completion. */
+    TraceOp op_;
+    Action op_done_;
+    /** The access in flight: its continuation, address and PC. */
+    Action mem_done_;
+    Addr mem_addr_ = 0;
+    Pc mem_pc_ = 0;
 };
 
 } // namespace spp

@@ -9,6 +9,10 @@
 
 using namespace spp;
 
+// Two words whatever the core count: the inline word plus the tail
+// pointer. Msg, AccessOutcome and DirEntry sizes depend on it.
+static_assert(sizeof(CoreSet) <= 16);
+
 TEST(CoreSet, StartsEmpty)
 {
     CoreSet s;
@@ -221,4 +225,148 @@ TEST(CoreSet, AllAtWordBoundaries)
     EXPECT_EQ(CoreSet::all(maxCores).count(), maxCores);
     EXPECT_FALSE(CoreSet::all(65).test(65));
     EXPECT_TRUE(CoreSet::all(65).test(64));
+}
+
+// --- Inline word vs. heap tail -------------------------------------
+//
+// Copy, move, assignment and equality across the narrow (no tail) and
+// wide (tail) representations, checked against std::bitset at sizes
+// straddling the inline word and at the maximum machine size.
+
+namespace {
+
+using Ref = std::bitset<maxCores>;
+
+/** A random set over cores [lo, hi) and its reference. */
+std::pair<CoreSet, Ref>
+randomSet(Rng &rng, unsigned lo, unsigned hi)
+{
+    CoreSet s;
+    Ref r;
+    for (unsigned i = 0; i < 24 && lo < hi; ++i) {
+        const auto c = static_cast<CoreId>(lo + rng.below(hi - lo));
+        s.set(c);
+        r.set(c);
+    }
+    return {s, r};
+}
+
+void
+expectMatches(const CoreSet &s, const Ref &r, unsigned n)
+{
+    ASSERT_EQ(s.count(), r.count());
+    for (unsigned c = 0; c < n; ++c)
+        ASSERT_EQ(s.test(c), r.test(c)) << "bit " << c;
+    Ref seen;
+    for (CoreId c : s)
+        seen.set(c);
+    ASSERT_EQ(seen, r);
+    ASSERT_EQ(CoreSet::fromHex(s.toHex()), s);
+}
+
+class CoreSetNarrowWide : public ::testing::TestWithParam<unsigned>
+{};
+
+} // namespace
+
+TEST_P(CoreSetNarrowWide, CopyMoveAssignEqualityMatchReference)
+{
+    const unsigned n = GetParam();
+    Rng rng(0x5E7 + n);
+    for (int round = 0; round < 50; ++round) {
+        // narrow: members below 64 only; wide: anywhere below n.
+        auto [narrow, rn] = randomSet(rng, 0, std::min(n, 64u));
+        auto [wide, rw] = randomSet(rng, 0, n);
+        if (n > 64) {
+            wide.set(n - 1);
+            rw.set(n - 1);
+        }
+        expectMatches(narrow, rn, n);
+        expectMatches(wide, rw, n);
+
+        CoreSet copy_n(narrow), copy_w(wide);
+        expectMatches(copy_n, rn, n);
+        expectMatches(copy_w, rw, n);
+        EXPECT_EQ(copy_n, narrow);
+        EXPECT_EQ(copy_w, wide);
+
+        // Copy-assign in both directions, over a live tail too.
+        CoreSet a = wide;
+        a = narrow;
+        expectMatches(a, rn, n);
+        EXPECT_EQ(a, narrow);
+        a = wide;
+        expectMatches(a, rw, n);
+        a = a; // Self-assignment keeps the value.
+        expectMatches(a, rw, n);
+
+        // Move-construct and move-assign both ways; the source is
+        // left empty.
+        CoreSet src = wide;
+        CoreSet moved(std::move(src));
+        expectMatches(moved, rw, n);
+        EXPECT_TRUE(src.empty());
+        CoreSet dst = narrow;
+        dst = std::move(moved);
+        expectMatches(dst, rw, n);
+        EXPECT_TRUE(moved.empty());
+        dst = CoreSet(narrow);
+        expectMatches(dst, rn, n);
+
+        // Equality is logical: clearing every high member of a wide
+        // set leaves a (zeroed) tail that must compare equal to the
+        // narrow set with the same low members.
+        CoreSet lowered = wide;
+        Ref rl = rw;
+        for (unsigned c = 64; c < n; ++c) {
+            lowered.reset(c);
+            rl.reset(c);
+        }
+        CoreSet low_only;
+        for (unsigned c = 0; c < std::min(n, 64u); ++c)
+            if (rw.test(c))
+                low_only.set(c);
+        expectMatches(lowered, rl, n);
+        EXPECT_EQ(lowered, low_only);
+        EXPECT_EQ(low_only, lowered);
+        EXPECT_EQ(lowered.toHex(), low_only.toHex());
+        EXPECT_EQ((wide == narrow), (rw == rn));
+
+        // Algebra across representations.
+        expectMatches(wide | narrow, rw | rn, n);
+        expectMatches(narrow | wide, rw | rn, n);
+        expectMatches(wide & narrow, rw & rn, n);
+        expectMatches(narrow - wide, rn & ~rw, n);
+        expectMatches(wide - narrow, rw & ~rn, n);
+        EXPECT_EQ(wide.contains(narrow), (rn & ~rw).none());
+        EXPECT_EQ(narrow.contains(wide), (rw & ~rn).none());
+        EXPECT_EQ(wide.intersects(narrow), (rw & rn).any());
+        CoreSet acc = narrow;
+        acc &= wide;
+        expectMatches(acc, rn & rw, n);
+        acc = narrow;
+        acc |= wide;
+        expectMatches(acc, rn | rw, n);
+        CoreSet cleared = wide;
+        cleared.clear();
+        EXPECT_TRUE(cleared.empty());
+        EXPECT_EQ(cleared, CoreSet{});
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, CoreSetNarrowWide,
+                         ::testing::Values(63u, 64u, 65u, 128u, 1024u),
+                         [](const auto &info) {
+                             return "n" + std::to_string(info.param);
+                         });
+
+TEST(CoreSet, HexRoundTripAtMaximumWidth)
+{
+    const CoreSet all = CoreSet::all(maxCores);
+    const std::string hex = all.toHex();
+    EXPECT_EQ(hex.size(), CoreSet::maxHexDigits);
+    EXPECT_EQ(CoreSet::fromHex(hex), all);
+    EXPECT_EQ(CoreSet::single(maxCores - 1).toHex(),
+              "8" + std::string(CoreSet::maxHexDigits - 1, '0'));
+    EXPECT_EQ((CoreSet{0, 4}).toHex(), "11");
 }
