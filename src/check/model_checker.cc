@@ -5,8 +5,7 @@
 #include <memory>
 #include <unordered_set>
 
-#include "coherence/broadcast_protocol.hh"
-#include "coherence/multicast_protocol.hh"
+#include "coherence/snoop_protocol.hh"
 #include "common/format.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -463,11 +462,8 @@ runSchedule(const ModelCheckOptions &o, Wl wl,
     rec.branchesReduced = sched.branchesReduced();
     rec.maxBatch = sched.maxBatch();
 
-    const MemSys &mem = sys.memSys();
-    if (auto *b = dynamic_cast<const BroadcastMemSys *>(&mem))
-        rec.lateDrops = b->lateDataDrops();
-    else if (auto *m = dynamic_cast<const MulticastMemSys *>(&mem))
-        rec.lateDrops = m->lateDataDrops();
+    if (auto *snoop = dynamic_cast<const SnoopMemSys *>(&sys.memSys()))
+        rec.lateDrops = snoop->lateDataDrops();
     return rec;
 }
 

@@ -6,66 +6,45 @@
  * The paper's latency-ideal / bandwidth-maximal endpoint: every miss
  * is broadcast to all peers; the owner responds cache-to-cache (2-hop
  * miss), sharers invalidate on writes, and every peer returns a snoop
- * response so the requester can resolve ordering. The home tile
- * starts a speculative memory fetch in parallel, cancelled by an
- * owner's cancel message (modelled as a flag set when the owner's
- * data response is generated).
+ * response so the requester can resolve ordering (the shared snooping
+ * engine, snoop_protocol.hh). The home tile starts a speculative
+ * memory fetch in parallel, cancelled by an owner's cancel (or dirty
+ * dirUpdate) message.
  *
  * Total order is modelled by the shared per-line home lock: a miss
  * acquires it (zero-latency arbitration, see line_lock.hh) before
  * broadcasting and releases it on completion. Waiting time while the
- * line is held by another miss is paid for real.
+ * line is held by another miss is paid for real. A write is ordered
+ * one control-packet traversal to the home after it is broadcast.
  */
 
 #ifndef SPP_COHERENCE_BROADCAST_PROTOCOL_HH
 #define SPP_COHERENCE_BROADCAST_PROTOCOL_HH
 
-#include "coherence/mem_sys.hh"
+#include "coherence/snoop_protocol.hh"
 
 namespace spp {
 
 /** Snooping broadcast memory system (Protocol::broadcast). */
-class BroadcastMemSys : public MemSys
+class BroadcastMemSys : public SnoopMemSys
 {
   public:
     BroadcastMemSys(const Config &cfg, EventQueue &eq, Mesh &mesh);
 
-    std::string dumpOutstanding() const override;
-
-    std::size_t outstandingTxns() const override
-    {
-        return lingering_.size();
-    }
-
     PoolStats
     txnPoolStats() const override
     {
-        PoolStats sum = lingering_.stats();
-        const PoolStats &s = spec_fetch_.stats();
-        sum.acquires += s.acquires;
-        sum.reuses += s.reuses;
-        sum.allocated += s.allocated;
-        sum.live += s.live;
-        sum.peak += s.peak;
+        PoolStats sum = SnoopMemSys::txnPoolStats();
+        sum += spec_fetch_.stats();
         return sum;
     }
 
     void hashState(StateHasher &h) const override;
 
-    /**
-     * Late data messages dropped because their transaction had fully
-     * retired (a speculative memory fetch losing the race against the
-     * owner's cache-to-cache response). A correctness-relevant
-     * ordering window: the model checker's race-witness tests assert
-     * exploration actually drives executions into it.
-     */
-    std::uint64_t lateDataDrops() const { return late_data_drops_; }
-
   protected:
-    void startMiss(Mshr &m) override;
     void handleMsg(const Msg &m) override;
-    void onCompleteMiss(Mshr &m) override;
-    void onWriteback(CoreId core, Addr line) override;
+    void launch(Mshr &m) override;
+    void observeSnoop(const Msg &m) override;
 
   private:
     /** Home-side speculative memory fetch state, keyed by line. */
@@ -75,35 +54,15 @@ class BroadcastMemSys : public MemSys
         bool cancelled = false;
     };
 
-    void broadcast(Mshr &m);
-    void onSnoopReq(const Msg &m);
-    void onSnoopResp(const Msg &m);
-    void onData(const Msg &m);
-    void onAckInv(const Msg &m);
-    void onUnblock(const Msg &m);
-    void onWbNotice(const Msg &m);
-    void checkCompletion(Mshr &m);
+    /** Send memory data for @p key after the home's memory access,
+     * unless an owner cancelled the fetch meanwhile. */
+    void fetchAtHome(Addr line, const TxnKey &key);
 
-    /**
-     * Find the transaction state for a response: the active MSHR, or
-     * a lingering transaction whose core already resumed.
-     */
-    Mshr *txnFor(CoreId core, Addr line, std::uint64_t txn);
-
-    /**
-     * The ordered interconnect lets the core resume as soon as data
-     * arrives (or, for upgrades, once the request is ordered); the
-     * transaction lingers until every snoop response arrived, then
-     * unblocks the home. @return true if the Mshr was moved (invalid
-     * reference afterwards).
-     */
-    bool maybeResumeCore(Mshr &m);
+    /** The fetch of @p m 's transaction, if still pending. */
+    SpecFetch *fetchOf(const Msg &m);
 
     /** Per-miss insert/erase churn: pool-backed (see pool.hh). */
     PooledMap<SpecFetch> spec_fetch_;
-    /** Resumed-but-not-drained transactions, keyed by txn id. */
-    PooledMap<Mshr> lingering_;
-    std::uint64_t late_data_drops_ = 0;
 };
 
 } // namespace spp

@@ -1,6 +1,4 @@
 #include "coherence/directory_protocol.hh"
-#include <cstdlib>
-#include <cstdio>
 
 namespace spp {
 
@@ -181,23 +179,21 @@ DirectoryMemSys::checkCompletion(Mshr &m)
         m.out.pred.targets.test(m.dataSource)) {
         ++indirections_avoided_;
     }
-    completeMiss(m);
-}
-
-void
-DirectoryMemSys::onCompleteMiss(Mshr &m)
-{
-    if (cfg_.injectBug == 3 && m.txn % 61 == 0)
-        return; // Checker self-test fault: lost unblock leaks the lock.
-    Msg u;
-    u.type = MsgType::unblock;
-    u.line = m.line;
-    u.src = m.core;
-    u.dst = map_.homeNode(m.line);
-    u.requester = m.core;
-    u.txn = m.txn;
-    u.becameOwner = !m.isWrite;
-    sendMsg(u);
+    finishOutcome(m);
+    // Checker self-test fault (injectBug 3): a lost unblock leaks the
+    // home lock.
+    if (cfg_.injectBug != 3 || m.txn % 61 != 0) {
+        Msg u;
+        u.type = MsgType::unblock;
+        u.line = m.line;
+        u.src = m.core;
+        u.dst = map_.homeNode(m.line);
+        u.requester = m.core;
+        u.txn = m.txn;
+        u.becameOwner = !m.isWrite;
+        sendMsg(u);
+    }
+    retireMshr(m);
 }
 
 // ---------------------------------------------------------------------
@@ -449,22 +445,9 @@ DirectoryMemSys::onUnblock(const Msg &m)
 void
 DirectoryMemSys::onWbNotice(const Msg &m)
 {
-    onWriteback(m.requester, m.line);
-    if (m.ownerAck)
-        depositMemVersion(m.line, m.version);
-    applyWriteback(m.requester, m.line);
-    locks_.release(m.line, TxnKey{m.requester, m.txn});
-}
-
-void
-DirectoryMemSys::onWriteback(CoreId core, Addr line)
-{
-    DirEntry *e = dir_.find(line);
-    if (e == nullptr)
-        return;
-    e->sharers.reset(core);
-    if (e->owner == core)
-        e->owner = invalidCore;
+    if (DirEntry *e = dir_.find(m.line))
+        e->evict(m.requester);
+    applyWriteback(m);
 }
 
 void
@@ -649,20 +632,6 @@ DirectoryMemSys::onPredRequest(const Msg &m)
 void
 DirectoryMemSys::handleMsg(const Msg &m)
 {
-    if (const char *dbg = std::getenv("SPP_DEBUG_LINE")) {
-        if (m.line == static_cast<Addr>(std::atoll(dbg))) {
-            // lint: allow(std-io) — SPP_DEBUG_LINE opt-in tracer.
-            std::fprintf(stderr,
-                         "[%8lu] %-10s line %lu %u->%u req=%u txn=%lu "
-                         "pred=%d set=%s\n",
-                         static_cast<unsigned long>(eq_.curTick()),
-                         toString(m.type),
-                         static_cast<unsigned long>(m.line), m.src,
-                         m.dst, m.requester,
-                         static_cast<unsigned long>(m.txn),
-                         m.predicted, m.set.toString().c_str());
-        }
-    }
     switch (m.type) {
       case MsgType::reqRead:
       case MsgType::reqWrite:

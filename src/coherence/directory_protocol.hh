@@ -45,6 +45,15 @@ struct DirEntry
 {
     SharerTracker sharers;
     CoreId owner = invalidCore; ///< E/M/F holder, if any.
+
+    /** @p core wrote its copy back: it is no longer sharer or owner. */
+    void
+    evict(CoreId core)
+    {
+        sharers.reset(core);
+        if (owner == core)
+            owner = invalidCore;
+    }
 };
 
 /**
@@ -76,8 +85,6 @@ class DirectoryMemSys : public MemSys
   protected:
     void startMiss(Mshr &m) override;
     void handleMsg(const Msg &m) override;
-    void onCompleteMiss(Mshr &m) override;
-    void onWriteback(CoreId core, Addr line) override;
 
   private:
     /** Per-line transaction bookkeeping while the home lock is held. */

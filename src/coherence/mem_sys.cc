@@ -1,5 +1,8 @@
 #include "coherence/mem_sys.hh"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "check/protocol_checker.hh"
 
 namespace spp {
@@ -13,6 +16,8 @@ MemSys::MemSys(const Config &cfg, EventQueue &eq, Mesh &mesh,
         filter_.emplace(n_cores_, cfg.filterRegionBytes);
     if (cfg.enableDram)
         dram_.emplace(cfg_, map_);
+    if (const char *dbg = std::getenv("SPP_DEBUG_LINE"))
+        debug_line_ = static_cast<Addr>(std::atoll(dbg));
     l1_.reserve(n_cores_);
     l2_.reserve(n_cores_);
     wb_buffer_.resize(n_cores_);
@@ -285,17 +290,18 @@ MemSys::startWriteback(CoreId core, Addr line)
 }
 
 void
-MemSys::applyWriteback(CoreId core, Addr line)
+MemSys::applyWriteback(const Msg &m)
 {
-    // Called by the subclass's wbNotice handler at the home tile,
-    // after directory-state cleanup (onWriteback).
+    if (m.ownerAck)
+        depositMemVersion(m.line, m.version);
     Msg ack;
     ack.type = MsgType::wbAck;
-    ack.line = line;
-    ack.src = map_.homeNode(line);
-    ack.dst = core;
-    ack.requester = core;
+    ack.line = m.line;
+    ack.src = map_.homeNode(m.line);
+    ack.dst = m.requester;
+    ack.requester = m.requester;
     sendMsg(ack);
+    locks_.release(m.line, TxnKey{m.requester, m.txn});
 }
 
 void
@@ -429,16 +435,8 @@ MemSys::absorbData(Mshr &m, const Msg &msg)
 }
 
 void
-MemSys::completeMiss(Mshr &m)
-{
-    finishOutcome(m);
-    retireMshr(m);
-}
-
-void
 MemSys::retireMshr(Mshr &m)
 {
-    onCompleteMiss(m);
     DoneFn done = std::move(m.done);
     AccessOutcome result = m.out;
     mshr_[m.core].reset();
@@ -646,6 +644,8 @@ MemSys::sendPooled(Msg *slot)
     Mesh::DeliverFn deliver = [this, slot]() {
         if (checker_) [[unlikely]]
             checker_->onDeliver(*slot);
+        if (debug_line_ == slot->line) [[unlikely]]
+            traceDelivery(*slot);
         {
             SelfProfiler::Scope prof(self_prof_,
                                      ProfScope::protocol);
@@ -659,6 +659,22 @@ MemSys::sendPooled(Msg *slot)
     } else {
         eq_.schedule(arrive, std::move(deliver));
     }
+}
+
+void
+MemSys::traceDelivery(const Msg &m) const
+{
+    // lint: allow(std-io) — SPP_DEBUG_LINE opt-in tracer.
+    std::fprintf(stderr,
+                 "[%8lu] %s %-10s line %lu %u->%u req=%u txn=%lu "
+                 "pred=%d set=%s hadCopy=%d owner=%d mem=%d v=%lu\n",
+                 static_cast<unsigned long>(eq_.curTick()),
+                 toString(cfg_.protocol), toString(m.type),
+                 static_cast<unsigned long>(m.line), m.src, m.dst,
+                 m.requester, static_cast<unsigned long>(m.txn),
+                 m.predicted, m.set.toString().c_str(), m.hadCopy,
+                 m.ownerAck, m.fromMemory,
+                 static_cast<unsigned long>(m.version));
 }
 
 void

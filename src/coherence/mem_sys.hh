@@ -5,7 +5,9 @@
  * Owns the per-tile L1/L2 arrays, writeback buffers and requester-side
  * MSHRs; implements the local access path (hit timing, miss issue,
  * fills, evictions) and message plumbing over the mesh. The directory
- * and broadcast engines subclass it and implement the miss protocol.
+ * engine (directory_protocol.hh) and the snooping engine shared by
+ * broadcast and multicast (snoop_protocol.hh) subclass it and
+ * implement the miss protocol.
  *
  * Modeling conventions (see DESIGN.md):
  *  - One outstanding demand access per core (in-order cores).
@@ -223,14 +225,8 @@ class MemSys
     wbPoolStats() const
     {
         PoolStats sum;
-        for (const auto &buf : wb_buffer_) {
-            const PoolStats &s = buf.stats();
-            sum.acquires += s.acquires;
-            sum.reuses += s.reuses;
-            sum.allocated += s.allocated;
-            sum.live += s.live;
-            sum.peak += s.peak;
-        }
+        for (const auto &buf : wb_buffer_)
+            sum += buf.stats();
         return sum;
     }
 
@@ -256,7 +252,7 @@ class MemSys
 
     /**
      * Transactions that resumed their core but have not fully
-     * drained yet (broadcast/multicast lingering entries). drained()
+     * drained yet (snooping engines' lingering entries). drained()
      * covers them indirectly via the line locks they hold; the
      * protocol checker asserts both independently.
      */
@@ -326,6 +322,8 @@ class MemSys
     /** Requester-side miss state. One per core (in-order cores). */
     struct Mshr
     {
+        static constexpr unsigned dueUnknown = ~0u;
+
         CoreId core = invalidCore;
         Addr line = 0;
         bool isWrite = false;
@@ -347,10 +345,15 @@ class MemSys
         CoreSet retried;            ///< Predicted targets re-invalidated.
         unsigned predRespPending = 0;
         bool predFailedSent = false;
-        unsigned peerResponses = 0; ///< Broadcast: responses collected.
-        bool peerHadCopy = false;   ///< Broadcast: some peer had line.
-        bool ordered = false;       ///< Broadcast: request is ordered.
-        bool coreResumed = false;   ///< Broadcast: done() already ran.
+        unsigned peerResponses = 0; ///< Snooping: responses collected.
+        /** Snooping: responses to collect before the home unblocks
+         * (dueUnknown until the engine fixes the snooped set). */
+        unsigned peerResponsesDue = dueUnknown;
+        bool peerHadCopy = false;   ///< Snooping: some peer had line.
+        /** Snooping: request is ordered (multicast orders on its
+         * grant, grantReceived, instead). */
+        bool ordered = false;
+        bool coreResumed = false;   ///< Snooping: done() already ran.
         CoreId dataSource = invalidCore;
         Mesif fillState = Mesif::invalid;
         std::uint64_t version = 0;
@@ -460,18 +463,15 @@ class MemSys
     void fillLine(CoreId core, Addr line, Mesif state, Pc pc,
                   std::uint64_t version);
 
-    /** Complete the MSHR of @p core: outcome, training, callback. */
-    void completeMiss(Mshr &m);
-
     /**
-     * Finalize the outcome of @p m and resume the core (fill, stats,
-     * predictor training, done callback) without retiring the MSHR;
-     * used by protocols that release the core before the transaction
-     * fully drains (ordered-interconnect broadcast).
+     * Finalize the outcome of @p m: install the line, judge the
+     * prediction, sample statistics and train the predictor. The
+     * caller then retires the MSHR (retireMshr) or, in the snooping
+     * engines, moves it aside until its responses drain.
      */
     void finishOutcome(Mshr &m);
 
-    /** Retire @p m after finishOutcome(): hook + free the MSHR. */
+    /** Free @p m 's MSHR and run its done callback. */
     void retireMshr(Mshr &m);
 
     /** The per-core MSHR, if any. */
@@ -500,9 +500,6 @@ class MemSys
 
     /** Raise memory's version (max-merge; versions are monotonic). */
     void depositMemVersion(Addr line, std::uint64_t version);
-
-    /** Hook: called right before completeMiss finalizes stats. */
-    virtual void onCompleteMiss(Mshr &m) { (void)m; }
 
     /** Train predictors about an external request at @p observer. */
     void trainExternalAt(CoreId observer, Addr line, CoreId requester,
@@ -562,12 +559,19 @@ class MemSys
     /** Start the writeback transaction for @p line at @p core. */
     void startWriteback(CoreId core, Addr line);
 
-  protected:
-    /** Home-side writeback application; shared by both protocols. */
-    void applyWriteback(CoreId core, Addr line);
+    /** Print message @p m as it is delivered (SPP_DEBUG_LINE). */
+    void traceDelivery(const Msg &m) const;
 
-    /** Subclass hook: clear directory owner/sharer state on wb. */
-    virtual void onWriteback(CoreId core, Addr line) = 0;
+    /** Line whose deliveries are traced (SPP_DEBUG_LINE), if any. */
+    std::optional<Addr> debug_line_;
+
+  protected:
+    /**
+     * Home-side wbNotice handling, after the engine dropped the
+     * evictor from its directory: deposit dirty data at memory, ack
+     * the evictor, release the line lock.
+     */
+    void applyWriteback(const Msg &m);
 
     /** Finish a writeback at the evictor (wbAck received). */
     void finishWriteback(CoreId core, Addr line);

@@ -39,6 +39,18 @@ struct PoolStats
     std::size_t live = 0;       ///< Currently acquired.
     std::size_t peak = 0;       ///< High-water mark of live.
 
+    /** Sum another pool's counters into these (telemetry totals). */
+    PoolStats &
+    operator+=(const PoolStats &o)
+    {
+        acquires += o.acquires;
+        reuses += o.reuses;
+        allocated += o.allocated;
+        live += o.live;
+        peak += o.peak;
+        return *this;
+    }
+
     /** Fraction of acquires served without touching the allocator
      * (slab carving is cheap but hitRate isolates true reuse). */
     double

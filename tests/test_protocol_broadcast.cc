@@ -1,11 +1,14 @@
 /**
  * @file
- * Broadcast snooping protocol scenario tests.
+ * Broadcast snooping protocol scenario tests, plus the peer-side
+ * scenarios of the snooping engine it shares with multicast, run
+ * through both engines.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "harness.hh"
 
@@ -62,32 +65,6 @@ TEST(Broadcast, CacheToCacheBeatsDirectoryLatency)
         bc_lat = h.access(1, 0x10000, false).latency();
     }
     EXPECT_LT(bc_lat, dir_lat);
-}
-
-TEST(Broadcast, WriteInvalidatesSharers)
-{
-    ProtoHarness h(bcConfig());
-    h.access(0, 0x10000, false);
-    h.access(1, 0x10000, false);
-    h.access(2, 0x10000, false);
-    AccessOutcome out = h.access(3, 0x10000, true);
-    EXPECT_TRUE(out.communicating);
-    EXPECT_TRUE(out.servicedBy.contains(CoreSet{0, 1, 2}));
-    for (CoreId c = 0; c < 3; ++c)
-        EXPECT_EQ(h.l2State(c, 0x10000), Mesif::invalid);
-    EXPECT_EQ(h.l2State(3, 0x10000), Mesif::modified);
-    h.sys->checkCoherence();
-}
-
-TEST(Broadcast, DirtyOwnerSuppliesData)
-{
-    ProtoHarness h(bcConfig());
-    AccessOutcome w = h.access(0, 0x10000, true);
-    AccessOutcome out = h.access(1, 0x10000, false);
-    // The (cancelled) speculative memory fetch must not have won:
-    // the reader sees the writer's version.
-    EXPECT_EQ(out.dataVersion, w.dataVersion);
-    EXPECT_EQ(out.servicedBy, CoreSet{0});
 }
 
 TEST(Broadcast, MemoryDataFillsForwardingWithSharers)
@@ -149,22 +126,76 @@ TEST(Broadcast, ConcurrentWritersSerialize)
     h.sys->checkCoherence();
 }
 
-TEST(Broadcast, UpgradeCompletesWithoutData)
+// ---------------------------------------------------------------------
+// The peer side and response accounting are the snooping engine both
+// broadcast and multicast share (snoop_protocol.hh): these scenarios
+// run through each and assert only protocol-neutral outcomes.
+// ---------------------------------------------------------------------
+
+class SnoopPeer : public ::testing::TestWithParam<Protocol>
 {
-    ProtoHarness h(bcConfig());
-    h.access(0, 0x10000, false);
-    h.access(1, 0x10000, false);
-    AccessOutcome out = h.access(1, 0x10000, true); // Upgrade.
-    EXPECT_TRUE(out.upgrade);
+  protected:
+    Config
+    config() const
+    {
+        Config cfg = ProtoHarness::smallConfig();
+        cfg.protocol = GetParam();
+        if (cfg.protocol == Protocol::multicast)
+            cfg.predictor = PredictorKind::sp;
+        return cfg;
+    }
+};
+
+TEST_P(SnoopPeer, DirtyOwnerSuppliesData)
+{
+    ProtoHarness h(config());
+    AccessOutcome w = h.access(0, 0x10000, true);
+    AccessOutcome out = h.access(1, 0x10000, false);
+    // Memory data (broadcast's cancelled speculative fetch) must not
+    // win: the reader sees the writer's version.
+    EXPECT_EQ(out.dataVersion, w.dataVersion);
+    EXPECT_EQ(out.servicedBy, CoreSet{0});
     EXPECT_FALSE(out.offChip);
-    EXPECT_EQ(h.l2State(1, 0x10000), Mesif::modified);
-    EXPECT_EQ(h.l2State(0, 0x10000), Mesif::invalid);
+    EXPECT_EQ(h.l2State(0, 0x10000), Mesif::shared);
+    EXPECT_EQ(h.l2State(1, 0x10000), Mesif::forwarding);
+    EXPECT_TRUE(h.sys->drained());
     h.sys->checkCoherence();
 }
 
-TEST(Broadcast, DirtyEvictionWritesBack)
+TEST_P(SnoopPeer, WriteInvalidatesSharers)
 {
-    Config cfg = bcConfig();
+    ProtoHarness h(config());
+    h.access(0, 0x10000, false);
+    h.access(1, 0x10000, false);
+    h.access(2, 0x10000, false);
+    AccessOutcome out = h.access(3, 0x10000, true);
+    EXPECT_TRUE(out.communicating);
+    EXPECT_TRUE(out.servicedBy.contains(CoreSet{0, 1, 2}));
+    for (CoreId c = 0; c < 3; ++c)
+        EXPECT_EQ(h.l2State(c, 0x10000), Mesif::invalid);
+    EXPECT_EQ(h.l2State(3, 0x10000), Mesif::modified);
+    EXPECT_TRUE(h.sys->drained());
+    h.sys->checkCoherence();
+}
+
+TEST_P(SnoopPeer, UpgradeCompletesWithoutData)
+{
+    ProtoHarness h(config());
+    h.access(0, 0x10000, false);
+    AccessOutcome r = h.access(1, 0x10000, false);
+    AccessOutcome out = h.access(1, 0x10000, true); // Upgrade.
+    EXPECT_TRUE(out.upgrade);
+    EXPECT_FALSE(out.offChip);
+    EXPECT_GT(out.dataVersion, r.dataVersion);
+    EXPECT_EQ(h.l2State(1, 0x10000), Mesif::modified);
+    EXPECT_EQ(h.l2State(0, 0x10000), Mesif::invalid);
+    EXPECT_TRUE(h.sys->drained());
+    h.sys->checkCoherence();
+}
+
+TEST_P(SnoopPeer, DirtyEvictionWritesBack)
+{
+    Config cfg = config();
     cfg.l2Bytes = 8 * 1024;
     cfg.l2Assoc = 1;
     cfg.l1Bytes = 1024;
@@ -174,11 +205,22 @@ TEST(Broadcast, DirtyEvictionWritesBack)
     const Addr b = a + static_cast<Addr>(sets) * cfg.lineBytes;
     AccessOutcome w = h.access(0, a, true);
     h.access(0, b, false); // Evicts dirty a.
+    EXPECT_EQ(h.l2State(0, a), Mesif::invalid);
     AccessOutcome out = h.access(1, a, false);
     EXPECT_TRUE(out.offChip);
+    EXPECT_TRUE(out.servicedBy.empty());
     EXPECT_EQ(out.dataVersion, w.dataVersion);
+    EXPECT_EQ(h.l2State(1, a), Mesif::exclusive);
+    EXPECT_TRUE(h.sys->drained());
     h.sys->checkCoherence();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, SnoopPeer,
+    ::testing::Values(Protocol::broadcast, Protocol::multicast),
+    [](const ::testing::TestParamInfo<Protocol> &info) {
+        return std::string(toString(info.param));
+    });
 
 // ---------------------------------------------------------------------
 // Completion-predicate coverage (maybeResumeCore): the requester must
