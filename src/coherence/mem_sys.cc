@@ -634,14 +634,16 @@ MemSys::sendPooled(Msg *slot)
             slot->line, pkt.bytes);
     }
     // The delivery closure carries only the slot pointer, so it fits
-    // any action inline. The slot is released after the handler
-    // returns: handlers receive a const reference into the slot and
-    // must copy anything they keep (they do — queued continuations
-    // capture the Msg by value); sends they issue take other slots.
+    // any action inline; it is built once, in its event node (only a
+    // delivery scheduler receives it wrapped in an Action). The slot
+    // is released after the handler returns: handlers receive a
+    // const reference into the slot and must copy anything they keep
+    // (they do — queued continuations capture the Msg by value);
+    // sends they issue take other slots.
     // checker_ is re-read at delivery time so detaching mid-flight
     // is safe; the checker sees the pre-handler state of the system.
     const Tick arrive = mesh_.inject(pkt);
-    Mesh::DeliverFn deliver = [this, slot]() {
+    auto deliver = [this, slot]() {
         if (checker_) [[unlikely]]
             checker_->onDeliver(*slot);
         if (debug_line_ == slot->line) [[unlikely]]
@@ -654,8 +656,8 @@ MemSys::sendPooled(Msg *slot)
         msg_pool_.release(slot);
     };
     if (delivery_scheduler_ != nullptr) [[unlikely]] {
-        delivery_scheduler_->onMessage(arrive, *slot,
-                                       std::move(deliver));
+        delivery_scheduler_->onMessage(
+            arrive, *slot, EventQueue::Action(std::move(deliver)));
     } else {
         eq_.schedule(arrive, std::move(deliver));
     }

@@ -40,14 +40,7 @@ class InlineFn
                                         Args...>>>
     InlineFn(F &&fn)
     {
-        using Fn = std::decay_t<F>;
-        static_assert(sizeof(Fn) <= Capacity,
-                      "callable exceeds InlineFn capacity; grow the "
-                      "capacity or shrink the capture list");
-        static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                      "over-aligned callable");
-        ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
-        ops_ = &opsFor<Fn>;
+        construct(std::forward<F>(fn));
     }
 
     InlineFn(InlineFn &&other) noexcept { moveFrom(other); }
@@ -84,12 +77,46 @@ class InlineFn
         }
     }
 
+    /**
+     * Build @p fn in this (empty) InlineFn's storage: a callable is
+     * constructed in place from the forwarded argument, so an rvalue
+     * costs exactly one move; another InlineFn is relocated into it.
+     * This is how the event kernel fills a pooled event node without
+     * routing the closure through a temporary.
+     */
+    template <typename F>
+    void
+    emplace(F &&fn)
+    {
+        if constexpr (std::is_same_v<std::decay_t<F>, InlineFn>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "InlineFn is move-only");
+            moveFrom(fn);
+        } else {
+            construct(std::forward<F>(fn));
+        }
+    }
+
+    /**
+     * Invoke the callable and destroy it in place, through one
+     * indirect call; the InlineFn is empty afterwards. The callable is
+     * destroyed even if it throws.
+     */
+    void
+    consume(Args... args)
+    {
+        const Ops *ops = ops_;
+        ops_ = nullptr;
+        ops->invokeDestroy(buf_, std::forward<Args>(args)...);
+    }
+
   private:
     struct Ops
     {
         void (*invoke)(void *, Args...);
         void (*relocate)(void *dst, void *src); ///< Move + destroy src.
         void (*destroy)(void *);
+        void (*invokeDestroy)(void *, Args...); ///< Call, then destroy.
     };
 
     template <typename Fn>
@@ -103,7 +130,30 @@ class InlineFn
             s->~Fn();
         },
         [](void *p) { static_cast<Fn *>(p)->~Fn(); },
+        [](void *p, Args... args) {
+            Fn *f = static_cast<Fn *>(p);
+            struct Destroy
+            {
+                Fn *f;
+                ~Destroy() { f->~Fn(); }
+            } guard{f};
+            (*f)(std::forward<Args>(args)...);
+        },
     };
+
+    template <typename F>
+    void
+    construct(F &&fn)
+    {
+        using Fn = std::decay_t<F>;
+        static_assert(sizeof(Fn) <= Capacity,
+                      "callable exceeds InlineFn capacity; grow the "
+                      "capacity or shrink the capture list");
+        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                      "over-aligned callable");
+        ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
+        ops_ = &opsFor<Fn>;
+    }
 
     void
     moveFrom(InlineFn &other) noexcept

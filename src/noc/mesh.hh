@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/config.hh"
@@ -57,21 +58,24 @@ struct NocStats
 class Mesh
 {
   public:
-    /** Delivery continuation; an event-queue action so the closure
-     * rides inline from send() into the scheduled event. */
-    using DeliverFn = EventQueue::Action;
-
     Mesh(const Config &cfg, EventQueue &eq);
 
     /** Manhattan hop count between two tiles. */
     unsigned hops(CoreId src, CoreId dst) const;
 
     /**
-     * Inject @p pkt; @p on_delivery runs at the arrival tick.
-     * Local (src == dst) packets are delivered after the router
-     * pipeline only.
+     * Inject @p pkt; @p on_delivery (any callable that fits an
+     * EventQueue::Action) runs at the arrival tick. The closure is
+     * forwarded into its event node, so it is built once. Local
+     * (src == dst) packets are delivered after the router pipeline
+     * only.
      */
-    void send(const Packet &pkt, DeliverFn on_delivery);
+    template <typename F>
+    void
+    send(const Packet &pkt, F &&on_delivery)
+    {
+        eq_.schedule(inject(pkt), std::forward<F>(on_delivery));
+    }
 
     /**
      * Inject @p pkt without scheduling a delivery: accounts traffic,

@@ -14,7 +14,6 @@
 #define SPP_SYNC_SYNC_MANAGER_HH
 
 #include <deque>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -42,8 +41,9 @@ struct SyncStats
 class SyncManager
 {
   public:
-    // lint: allow(std-function) — blocked-thread wakeup capsule, not per-event.
-    using Action = std::function<void()>;
+    /** Wakeup continuation; the kernel's own action type, so it is
+     * relocated into its event node rather than wrapped again. */
+    using Action = EventQueue::Action;
 
     SyncManager(const Config &cfg, EventQueue &eq, Addr sync_base);
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
@@ -130,6 +132,120 @@ TEST(EventQueue, CountsExecuted)
     EXPECT_EQ(eq.executed(), 7u);
 }
 
+// --- Closure lifetime in pooled event nodes ---
+
+namespace {
+
+/** Logs its id when destroyed while owning it; a moved-from copy
+ * owns nothing, so a capture destroyed twice logs its id twice. */
+struct DestroyLog
+{
+    std::vector<int> *log;
+    int id;
+    bool owns = true;
+
+    DestroyLog(std::vector<int> *l, int i) : log(l), id(i) {}
+    DestroyLog(DestroyLog &&o) noexcept : log(o.log), id(o.id)
+    {
+        o.owns = false;
+    }
+    DestroyLog(const DestroyLog &) = delete;
+    ~DestroyLog()
+    {
+        if (owns)
+            log->push_back(id);
+    }
+};
+
+/** Counts its own moves and copies. */
+struct MoveCounter
+{
+    int *moves;
+    int *copies;
+    int *calls;
+
+    MoveCounter(int *m, int *c, int *k) : moves(m), copies(c), calls(k)
+    {}
+    MoveCounter(MoveCounter &&o) noexcept
+        : moves(o.moves), copies(o.copies), calls(o.calls)
+    {
+        ++*moves;
+    }
+    MoveCounter(const MoveCounter &o)
+        : moves(o.moves), copies(o.copies), calls(o.calls)
+    {
+        ++*copies;
+    }
+    void operator()() { ++*calls; }
+};
+
+} // namespace
+
+TEST(EventQueue, DestroyingQueueDestroysEachPendingCaptureOnce)
+{
+    std::vector<int> destroyed;
+    int ran = 0;
+    {
+        EventQueue eq;
+        // Run a few events first so the freelist holds recycled
+        // (empty) nodes next to the pending ones.
+        for (int i = 0; i < 5; ++i)
+            eq.schedule(i, [&ran] { ++ran; });
+        eq.run();
+        int id = 0;
+        for (Tick off : {Tick{0}, Tick{1}, Tick{7}, Tick{7}, Tick{1023},
+                         Tick{1024}, Tick{5000}, Tick{5000}}) {
+            eq.scheduleAfter(off, [d = DestroyLog(&destroyed, id++),
+                                   &ran] { ++ran; });
+        }
+        // More than one node chunk of same-tick events.
+        for (std::size_t i = 0; i < EventQueue::nodesPerChunk + 3; ++i)
+            eq.scheduleAfter(40, [d = DestroyLog(&destroyed, id++),
+                                  &ran] { ++ran; });
+        EXPECT_EQ(eq.farPending(), 3u);
+        EXPECT_EQ(eq.nearPending(), 5u + EventQueue::nodesPerChunk + 3);
+        EXPECT_TRUE(destroyed.empty());
+    }
+    EXPECT_EQ(ran, 5);
+    std::sort(destroyed.begin(), destroyed.end());
+    std::vector<int> expect(8 + EventQueue::nodesPerChunk + 3);
+    for (std::size_t i = 0; i < expect.size(); ++i)
+        expect[i] = static_cast<int>(i);
+    EXPECT_EQ(destroyed, expect);
+}
+
+TEST(EventQueue, ExecutedCaptureIsDestroyedOnceBeforeNextEvent)
+{
+    std::vector<int> destroyed;
+    EventQueue eq;
+    std::size_t seen_at_second = 0;
+    eq.schedule(3, [d = DestroyLog(&destroyed, 0)] {});
+    eq.schedule(3, [&] { seen_at_second = destroyed.size(); });
+    eq.run();
+    EXPECT_EQ(seen_at_second, 1u);
+    EXPECT_EQ(destroyed, (std::vector<int>{0}));
+}
+
+TEST(EventQueue, TemporaryClosureIsMovedAtMostOnce)
+{
+    for (Tick when : {Tick{5}, Tick{4096}}) {
+        int moves = 0;
+        int copies = 0;
+        int calls = 0;
+        EventQueue eq;
+        eq.schedule(when, MoveCounter(&moves, &copies, &calls));
+        EXPECT_LE(moves, 1) << "when " << when;
+        eq.scheduleAfter(when + 1, MoveCounter(&moves, &copies, &calls));
+        EXPECT_LE(moves, 2) << "when " << when;
+        EXPECT_EQ(copies, 0);
+        const int scheduled_moves = moves;
+        eq.run();
+        EXPECT_EQ(calls, 2);
+        EXPECT_EQ(moves, scheduled_moves) << "step() moved a closure";
+        EXPECT_EQ(copies, 0);
+    }
+}
+
 TEST(EventQueue, SchedulingInPastPanics)
 {
     EventQueue eq;
@@ -239,6 +355,10 @@ constexpr spp::Tick kOffsets[] = {0,    1,    3,    17,   255,
 constexpr std::size_t kNumOffsets =
     sizeof(kOffsets) / sizeof(kOffsets[0]);
 constexpr std::uint64_t kRootBase = 1'000'000;
+/** Burst leaves: ids this large sit past the depth limit. */
+constexpr std::uint64_t kBurstBase = std::uint64_t{1} << 62;
+constexpr std::uint64_t kBurst = 2 * spp::EventQueue::nodesPerChunk + 7;
+static_assert(kBurst < 256, "burst ids are id << 8 plus an index");
 
 std::uint64_t
 mix64(std::uint64_t x)
@@ -276,6 +396,14 @@ spawnChildren(std::uint64_t id, std::uint64_t seed, spp::Tick now,
     for (unsigned k = 1; k <= n_children; ++k) {
         const spp::Tick off = kOffsets[(h >> (8 * k)) % kNumOffsets];
         spawn(now + off, 3 * id + k);
+    }
+    // One in eight events also fires a same-tick burst of leaves
+    // wider than a node chunk (near or far), so nodes are recycled
+    // across chunks mid-run.
+    if ((h >> 40) % 8 == 0) {
+        const spp::Tick off = kOffsets[(h >> 48) % kNumOffsets];
+        for (std::uint64_t k = 0; k < kBurst; ++k)
+            spawn(now + off, kBurstBase + (id << 8) + k);
     }
 }
 
@@ -337,6 +465,7 @@ referenceOrder(std::uint64_t seed, unsigned n_roots)
 TEST(EventQueue, MatchesReferenceHeapOnRandomSchedules)
 {
     constexpr unsigned n_roots = 32;
+    std::size_t burst_leaves = 0;
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         RealRun real;
         real.seed = seed;
@@ -350,5 +479,9 @@ TEST(EventQueue, MatchesReferenceHeapOnRandomSchedules)
         EXPECT_EQ(real.order, ref) << "seed " << seed;
         EXPECT_EQ(real.eq.nearPending(), 0u);
         EXPECT_EQ(real.eq.farPending(), 0u);
+        burst_leaves += static_cast<std::size_t>(std::count_if(
+            ref.begin(), ref.end(),
+            [](std::uint64_t id) { return id >= kBurstBase; }));
     }
+    EXPECT_GE(burst_leaves, 8 * kBurst);
 }
