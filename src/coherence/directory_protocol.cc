@@ -6,18 +6,8 @@ DirectoryMemSys::DirectoryMemSys(const Config &cfg, EventQueue &eq,
                                  Mesh &mesh,
                                  DestinationPredictor *predictor)
     : MemSys(cfg, eq, mesh, predictor),
-      sharer_layout_(SharerLayout::fromConfig(cfg))
+      dir_(cfg)
 {
-}
-
-DirEntry &
-DirectoryMemSys::dirAt(Addr line)
-{
-    if (DirEntry *e = dir_.find(line))
-        return *e;
-    DirEntry &e = dir_.insert(line);
-    e.sharers = SharerTracker(sharer_layout_);
-    return e;
 }
 
 // ---------------------------------------------------------------------
@@ -288,7 +278,7 @@ DirectoryMemSys::serviceReadFromDir(const Msg &m, DirEntry &e)
 void
 DirectoryMemSys::processRead(const Msg &m)
 {
-    DirEntry &e = dirAt(m.line);
+    DirEntry &e = dir_.findOrCreate(m.line);
     const TxnKey key{m.requester, m.txn};
     if (m.predicted && e.owner != invalidCore &&
         e.owner != m.requester && m.set.test(e.owner) &&
@@ -339,7 +329,7 @@ DirectoryMemSys::takeEarlyPredFailure(Addr line, const TxnKey &key)
 void
 DirectoryMemSys::processWrite(const Msg &m)
 {
-    DirEntry &e = dirAt(m.line);
+    DirEntry &e = dir_.findOrCreate(m.line);
     CoreSet must_ack = e.sharers.others(m.requester);
     if (cfg_.injectBug == 1) {
         // Checker self-test fault: silently forget one sharer, as a
@@ -408,7 +398,7 @@ DirectoryMemSys::onPredFailed(const Msg &m)
     if (!t->waitingPeer)
         return; // The directory path is already servicing the read.
     t->waitingPeer = false;
-    serviceReadFromDir(m, dirAt(m.line));
+    serviceReadFromDir(m, dir_.findOrCreate(m.line));
 }
 
 void
@@ -431,7 +421,7 @@ DirectoryMemSys::onUnblock(const Msg &m)
         // Predicted read serviced entirely by the peer path: record
         // the requester as the new F holder now (plain MESI keeps no
         // clean owner).
-        DirEntry &e = dirAt(m.line);
+        DirEntry &e = dir_.findOrCreate(m.line);
         e.sharers.set(m.requester);
         e.owner = cfg_.enableFState ? m.requester : invalidCore;
     }

@@ -57,6 +57,35 @@ struct DirEntry
 };
 
 /**
+ * Directory entries by line, each created on first touch with an
+ * empty sharer set in the configured sharer format. The home
+ * directory (DirectoryMemSys) and the multicast verification
+ * directory (MulticastMemSys) are both one of these. Lines are never
+ * removed, so the node churn PooledMap avoids does not occur here.
+ */
+class DirTable : public PooledMap<DirEntry>
+{
+  public:
+    explicit DirTable(const Config &cfg)
+        : layout_(SharerLayout::fromConfig(cfg))
+    {}
+
+    /** Find-or-create the entry for @p line. */
+    DirEntry &
+    findOrCreate(Addr line)
+    {
+        if (DirEntry *e = find(line))
+            return *e;
+        DirEntry &e = insert(line);
+        e.sharers = SharerTracker(layout_);
+        return e;
+    }
+
+  private:
+    SharerLayout layout_;
+};
+
+/**
  * Directory MESIF memory system (Protocol::directory and
  * Protocol::predicted).
  */
@@ -120,14 +149,7 @@ class DirectoryMemSys : public MemSys
     void maybeRetryNacked(Mshr &m);
     void checkCompletion(Mshr &m);
 
-    /** Find-or-create the entry for @p line in the configured
-     * sharer format. */
-    DirEntry &dirAt(Addr line);
-
-    /** Warm-up-only growth: lines are never removed, so the node
-     * churn PooledMap avoids does not occur here. */
-    PooledMap<DirEntry> dir_;
-    SharerLayout sharer_layout_;
+    DirTable dir_;
     /** One entry per in-flight home transaction: per-miss insert and
      * erase, so entries come from a pool. */
     PooledMap<DirTxn> txns_;

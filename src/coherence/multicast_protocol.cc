@@ -7,18 +7,8 @@ MulticastMemSys::MulticastMemSys(const Config &cfg, EventQueue &eq,
                                  DestinationPredictor *predictor)
     : SnoopMemSys(cfg, eq, mesh, predictor,
                   /*speculative_memory=*/false),
-      sharer_layout_(SharerLayout::fromConfig(cfg))
+      dir_(cfg)
 {
-}
-
-DirEntry &
-MulticastMemSys::dirAt(Addr line)
-{
-    if (DirEntry *e = dir_.find(line))
-        return *e;
-    DirEntry &e = dir_.insert(line);
-    e.sharers = SharerTracker(sharer_layout_);
-    return e;
 }
 
 // ---------------------------------------------------------------------
@@ -105,7 +95,7 @@ MulticastMemSys::fetchAtHome(Addr line, const TxnKey &key,
 void
 MulticastMemSys::processVerify(const Msg &m)
 {
-    DirEntry &e = dirAt(m.line);
+    DirEntry &e = dir_.findOrCreate(m.line);
     const CoreId home = map_.homeNode(m.line);
     const TxnKey key{m.requester, m.txn};
     CoreSet snooped = m.set;

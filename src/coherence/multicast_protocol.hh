@@ -23,7 +23,7 @@
 #ifndef SPP_COHERENCE_MULTICAST_PROTOCOL_HH
 #define SPP_COHERENCE_MULTICAST_PROTOCOL_HH
 
-#include "coherence/directory_protocol.hh" // DirEntry
+#include "coherence/directory_protocol.hh" // DirTable
 #include "coherence/snoop_protocol.hh"
 
 namespace spp {
@@ -63,13 +63,8 @@ class MulticastMemSys : public SnoopMemSys
     /** Send memory data for @p key after the home's memory access. */
     void fetchAtHome(Addr line, const TxnKey &key, Mesif fill_state);
 
-    /** Find-or-create the entry for @p line in the configured
-     * sharer format. */
-    DirEntry &dirAt(Addr line);
-
     /** Memory-side verification directory. */
-    PooledMap<DirEntry> dir_;
-    SharerLayout sharer_layout_;
+    DirTable dir_;
     std::uint64_t insufficient_masks_ = 0;
 };
 

@@ -197,6 +197,15 @@ configValidate(const Config &c)
     if (c.l2Assoc == 0 || c.l2Bytes == 0 ||
         c.l2Bytes % (c.lineBytes * c.l2Assoc) != 0)
         return "L2 geometry does not divide into sets";
+    // CacheArray indexes sets by mask.
+    if (const unsigned sets = c.l1Bytes / (c.lineBytes * c.l1Assoc);
+        !std::has_single_bit(sets))
+        return strfmt("L1 set count must be a power of two, got {}",
+                      sets);
+    if (const unsigned sets = c.l2Bytes / (c.lineBytes * c.l2Assoc);
+        !std::has_single_bit(sets))
+        return strfmt("L2 set count must be a power of two, got {}",
+                      sets);
     if (c.hotThreshold <= 0.0 || c.hotThreshold >= 1.0)
         return strfmt("hotThreshold must be in (0, 1), got {}",
                       c.hotThreshold);

@@ -1,5 +1,9 @@
 #include "mem/cache_array.hh"
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 namespace spp {
 
 CacheArray::CacheArray(unsigned size_bytes, unsigned assoc,
@@ -15,98 +19,130 @@ CacheArray::CacheArray(unsigned size_bytes, unsigned assoc,
                "cache size {} not divisible into {}-way sets",
                size_bytes, assoc);
     n_sets_ = size_bytes / (line_bytes * assoc);
-    lines_.resize(static_cast<std::size_t>(n_sets_) * assoc_);
+    SPP_ASSERT(std::has_single_bit(n_sets_),
+               "set count must be a power of two, got {}", n_sets_);
+    set_mask_ = n_sets_ - 1;
+    n_lines_ = std::size_t{n_sets_} * assoc_;
+
+    // Tags first, padded to a host line, then the records.
+    const std::size_t tag_bytes =
+        (n_lines_ * sizeof(Addr) + hostLineBytes - 1) /
+        hostLineBytes * hostLineBytes;
+    block_ = std::make_unique_for_overwrite<std::byte[]>(
+        tag_bytes + n_lines_ * sizeof(CacheLine) + hostLineBytes - 1);
+    std::byte *bytes = block_.get();
+    bytes += -reinterpret_cast<std::uintptr_t>(bytes) % hostLineBytes;
+    tags_ = reinterpret_cast<Addr *>(bytes);
+    lines_ = reinterpret_cast<CacheLine *>(bytes + tag_bytes);
+    std::uninitialized_fill_n(tags_, n_lines_, emptyTag);
+    std::uninitialized_value_construct_n(lines_, n_lines_);
 }
 
 std::size_t
-CacheArray::setBase(Addr line_addr) const
+CacheArray::findWay(Addr line_addr) const
 {
-    const Addr line_num = line_addr >> line_shift_;
-    return static_cast<std::size_t>(line_num % n_sets_) * assoc_;
+    const std::size_t base = setBase(line_addr);
+    for (std::size_t i = base; i < base + assoc_; ++i)
+        if (tags_[i] == line_addr && isValid(lines_[i].state))
+            return i;
+    return n_lines_;
 }
 
 CacheLine *
 CacheArray::lookup(Addr line_addr)
 {
     ++stats_.lookups;
-    const std::size_t base = setBase(line_addr);
-    for (unsigned w = 0; w < assoc_; ++w) {
-        CacheLine &line = lines_[base + w];
-        if (isValid(line.state) && line.tag == line_addr) {
-            line.lru = next_lru_++;
-            ++stats_.hits;
-            return &line;
-        }
+    const std::size_t i = findWay(line_addr);
+    if (i == n_lines_) {
+        ++stats_.misses;
+        return nullptr;
     }
-    ++stats_.misses;
-    return nullptr;
+    stamp(lines_[i]);
+    ++stats_.hits;
+    return &lines_[i];
 }
 
 const CacheLine *
 CacheArray::peek(Addr line_addr) const
 {
-    const std::size_t base = setBase(line_addr);
-    for (unsigned w = 0; w < assoc_; ++w) {
-        const CacheLine &line = lines_[base + w];
-        if (isValid(line.state) && line.tag == line_addr)
-            return &line;
-    }
-    return nullptr;
+    const std::size_t i = findWay(line_addr);
+    return i == n_lines_ ? nullptr : &lines_[i];
 }
 
 CacheLine *
 CacheArray::allocate(Addr line_addr, CacheLine &victim)
 {
+    SPP_ASSERT(findWay(line_addr) == n_lines_,
+               "allocate of already-present line {}", line_addr);
+    SPP_ASSERT(line_addr != emptyTag, "line address {} is the empty tag",
+               line_addr);
     victim = CacheLine{};
     const std::size_t base = setBase(line_addr);
-    CacheLine *target = nullptr;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        CacheLine &line = lines_[base + w];
-        SPP_ASSERT(!isValid(line.state) || line.tag != line_addr,
-                   "allocate of already-present line {}",
-                   line_addr);
-        if (!isValid(line.state)) {
-            target = &line;
-            break;
-        }
-        if (!target || line.lru < target->lru)
-            target = &line;
-    }
-    if (isValid(target->state)) {
-        victim = *target;
+    std::size_t i = base;
+    while (i < base + assoc_ && tags_[i] != emptyTag)
+        ++i;
+    if (i == base + assoc_) {
+        // Full set: evict the least recently stamped line.
+        i = base;
+        for (std::size_t w = base + 1; w < base + assoc_; ++w)
+            if (lines_[w].lru < lines_[i].lru)
+                i = w;
+        victim = lines_[i];
+        SPP_ASSERT(isValid(victim.state),
+                   "line {} was left invalid in a full set", victim.tag);
         ++stats_.evictions;
-        if (isDirty(target->state))
+        if (isDirty(victim.state))
             ++stats_.dirtyEvictions;
     }
-    target->tag = line_addr;
-    target->state = Mesif::invalid;
-    target->lru = next_lru_++;
-    return target;
+    CacheLine &target = lines_[i];
+    tags_[i] = line_addr;
+    target.tag = line_addr;
+    target.state = Mesif::invalid;
+    stamp(target);
+    return &target;
 }
 
 Mesif
 CacheArray::invalidate(Addr line_addr)
 {
-    const std::size_t base = setBase(line_addr);
-    for (unsigned w = 0; w < assoc_; ++w) {
-        CacheLine &line = lines_[base + w];
-        if (isValid(line.state) && line.tag == line_addr) {
-            const Mesif prev = line.state;
-            line.state = Mesif::invalid;
-            return prev;
-        }
-    }
-    return Mesif::invalid;
+    const std::size_t i = findWay(line_addr);
+    if (i == n_lines_)
+        return Mesif::invalid;
+    const Mesif prev = lines_[i].state;
+    lines_[i].state = Mesif::invalid;
+    tags_[i] = emptyTag;
+    return prev;
 }
 
 unsigned
 CacheArray::validCount() const
 {
     unsigned n = 0;
-    for (const auto &line : lines_)
-        if (isValid(line.state))
-            ++n;
+    forEachValid([&](const CacheLine &) { ++n; });
     return n;
+}
+
+void
+CacheArray::setLruClock(std::uint32_t next)
+{
+    SPP_ASSERT(next >= next_lru_, "LRU clock may not move back ({} < {})",
+               next, next_lru_);
+    next_lru_ = next;
+}
+
+void
+CacheArray::renumberLru()
+{
+    std::vector<unsigned> order(assoc_);
+    for (std::size_t base = 0; base < n_lines_; base += assoc_) {
+        std::iota(order.begin(), order.end(), 0u);
+        std::sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
+            return lines_[base + a].lru < lines_[base + b].lru;
+        });
+        for (unsigned r = 0; r < assoc_; ++r)
+            lines_[base + order[r]].lru = r + 1;
+    }
+    next_lru_ = assoc_ + 1;
 }
 
 } // namespace spp

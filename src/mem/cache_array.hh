@@ -5,14 +5,21 @@
  * The array stores coherence state only (the simulator carries data
  * values in a separate logical memory for checking); it is used for
  * both the L1 filter cache and the private L2.
+ *
+ * Layout: each set's tags sit contiguously in a tag array (an empty
+ * way holds emptyTag), apart from the CacheLine records, and both
+ * arrays start on a host cache line. An 8-way set's tags fill one
+ * 64-byte host line, so a search that misses reads one host line; a
+ * hit reads that line and the hit way's record.
  */
 
 #ifndef SPP_MEM_CACHE_ARRAY_HH
 #define SPP_MEM_CACHE_ARRAY_HH
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -26,11 +33,15 @@ struct CacheLine
 {
     Addr tag = 0;               ///< Full line address (not truncated).
     Mesif state = Mesif::invalid;
-    std::uint64_t lru = 0;      ///< Higher = more recently used.
+    std::uint32_t lru = 0;      ///< Higher = more recently used (within
+                                ///< its set; see CacheArray).
     Pc lastPc = 0;              ///< Instruction that last missed here
                                 ///< (INST predictor training).
     std::uint64_t version = 0;  ///< Logical data version (checker).
 };
+
+// A line costs 40 bytes: this record plus its 8-byte tag-array entry.
+static_assert(sizeof(CacheLine) == 32);
 
 /** Statistics for one cache array. */
 struct CacheStats
@@ -44,14 +55,32 @@ struct CacheStats
 
 /**
  * Set-associative array of CacheLine records indexed by line address.
+ *
+ * A line leaves the array only through invalidate() or eviction, and
+ * the caller of allocate() installs a valid state in the returned
+ * line: a way is empty exactly when its tag-array entry is emptyTag,
+ * which is what victim selection reads (an eviction asserts that its
+ * victim is valid).
+ *
+ * LRU stamps are 32 bits. Only their order within a set matters, so
+ * when the clock is about to wrap every set's stamps are renumbered
+ * 1..assoc in their existing order and the clock restarts above them;
+ * replacement decisions are the same as with unbounded stamps.
  */
 class CacheArray
 {
   public:
+    /** Tag-array value of an empty way. It is not line-aligned for
+     * any line size above one byte; allocate() rejects it. */
+    static constexpr Addr emptyTag = ~Addr{0};
+
     /**
      * @param size_bytes Total capacity.
      * @param assoc Ways per set.
      * @param line_bytes Line size (power of two).
+     *
+     * The set count, size_bytes / (line_bytes * assoc), must be a
+     * power of two.
      */
     CacheArray(unsigned size_bytes, unsigned assoc, unsigned line_bytes);
 
@@ -96,25 +125,60 @@ class CacheArray
 
     const CacheStats &stats() const { return stats_; }
 
+    /**
+     * Move the LRU clock forward to @p next (not below its current
+     * value). Replacement order is unchanged; tests use it to cross
+     * the 32-bit wrap.
+     */
+    void setLruClock(std::uint32_t next);
+
     /** Call @p fn(line) for every valid line (used by flush/tests). */
     template <typename Fn>
     void
     forEachValid(Fn &&fn) const
     {
-        for (const auto &line : lines_)
-            if (isValid(line.state))
-                fn(line);
+        for (std::size_t i = 0; i < n_lines_; ++i)
+            if (isValid(lines_[i].state))
+                fn(lines_[i]);
     }
 
   private:
-    std::size_t setBase(Addr line_addr) const;
+    static constexpr std::size_t hostLineBytes = 64;
+
+    /** Index of @p line_addr's set's first way. */
+    std::size_t
+    setBase(Addr line_addr) const
+    {
+        const Addr set = (line_addr >> line_shift_) & set_mask_;
+        return static_cast<std::size_t>(set) * assoc_;
+    }
+
+    /** Index of the valid way holding @p line_addr, or n_lines_. */
+    std::size_t findWay(Addr line_addr) const;
+
+    /** Give @p line the next LRU stamp. */
+    void
+    stamp(CacheLine &line)
+    {
+        if (next_lru_ == ~std::uint32_t{0}) [[unlikely]]
+            renumberLru();
+        line.lru = next_lru_++;
+    }
+
+    void renumberLru();
 
     unsigned n_sets_;
     unsigned assoc_;
     unsigned line_bytes_;
     unsigned line_shift_;
-    std::uint64_t next_lru_ = 1;
-    std::vector<CacheLine> lines_;
+    Addr set_mask_;
+    std::uint32_t next_lru_ = 1;
+    std::size_t n_lines_;
+    /** One block: the tag array, then the CacheLine records, from
+     * the first host line boundary in it. */
+    std::unique_ptr<std::byte[]> block_;
+    Addr *tags_;
+    CacheLine *lines_;
     CacheStats stats_;
 };
 

@@ -115,9 +115,30 @@ class Mesh
     void setSelfProfiler(SelfProfiler *p) { self_prof_ = p; }
 
   private:
+    /** A tile's mesh column and row. */
+    struct Coord
+    {
+        std::uint16_t x;
+        std::uint16_t y;
+    };
+
+    /** Serialization ticks of a @p bytes packet on one link. */
+    Tick
+    serializationOf(unsigned bytes) const
+    {
+        return bytes < ser_ticks_.size() ? ser_ticks_[bytes]
+                                         : serializationSlow(bytes);
+    }
+    Tick serializationSlow(unsigned bytes) const;
+
     const Config &cfg_;
     EventQueue &eq_;
     unsigned n_cores_;
+    /** Column and row of every tile (tile = y * meshX + x). */
+    std::vector<Coord> coord_;
+    /** Serialization ticks by packet size, up to the configured
+     * control and data packet sizes. */
+    std::vector<Tick> ser_ticks_;
     /** busy-until tick per directional link (n_cores * 4 entries). */
     std::vector<Tick> link_free_;
     /** Cumulative serialization-busy ticks per directional link. */

@@ -246,6 +246,26 @@ TEST(Config, DeathOnBadLineSize)
     EXPECT_DEATH({ cfg.validate(); }, "power of two");
 }
 
+TEST(Config, RejectsNonPowerOfTwoSetCounts)
+{
+    Config cfg;
+    cfg.l2Bytes = 768 * 1024; // 1536 sets of 8 x 64 B.
+    EXPECT_EQ(configValidate(cfg),
+              "L2 set count must be a power of two, got 1536");
+    cfg = Config{};
+    cfg.l1Bytes = 12 * 1024; // 192 direct-mapped sets.
+    EXPECT_EQ(configValidate(cfg),
+              "L1 set count must be a power of two, got 192");
+    cfg.l1Bytes = 8 * 1024;
+    cfg.l1Assoc = 2;
+    cfg.l2Assoc = 16; // 1024 sets; non-default geometries still pass.
+    EXPECT_EQ(configValidate(cfg), "");
+    EXPECT_DEATH({
+        cfg.l2Bytes = 3 * 1024 * 1024;
+        cfg.validate();
+    }, "L2 set count");
+}
+
 TEST(Config, DeathOnPredictedWithoutPredictor)
 {
     Config cfg;

@@ -172,11 +172,13 @@ TEST(MeshRectangular, TallMeshDelivers)
 
 // --- Arithmetic routing vs. the path-vector reference ----------------
 //
-// Mesh::inject computes each X-Y hop's link index arithmetically. The
-// reference below is the original formulation: enumerate the tile
-// path into a vector, then map each consecutive tile pair to its
-// directional link. Both must reserve the same links at the same
-// ticks for every src -> dst pair.
+// Mesh::inject walks the X-Y route as one loop of link-index
+// arithmetic over precomputed tile coordinates. The reference below
+// is the direct formulation: enumerate the tile path into a vector,
+// then map each consecutive tile pair to its directional link. Both
+// must reserve the same links at the same ticks for every src -> dst
+// pair, and Mesh::hops must equal the reference path length, on
+// square, rectangular and single-row/column meshes.
 
 namespace {
 
@@ -194,15 +196,13 @@ struct PathVectorMesh
     std::size_t
     linkIndex(unsigned a, unsigned b) const
     {
+        // Tiles in the same row are an X hop apart, even on a
+        // one-column mesh where a Y hop also moves the index by one.
         unsigned dir;
-        if (b == a + 1)
-            dir = 0;
-        else if (b + 1 == a)
-            dir = 1;
-        else if (b == a + cfg.meshX)
-            dir = 2;
+        if (a / cfg.meshX == b / cfg.meshX)
+            dir = b > a ? 0 : 1;
         else
-            dir = 3;
+            dir = b > a ? 2 : 3;
         return std::size_t{a} * 4 + dir;
     }
 
@@ -272,6 +272,9 @@ TEST_P(MeshRouteVsReference, EveryPairMatchesPathVectorRouting)
         for (CoreId dst = 0; dst < cfg.numCores; ++dst, ++n) {
             const Packet pkt{src, dst, n % 3 == 0 ? 72u : 8u,
                              TrafficClass::request};
+            ASSERT_EQ(mesh.hops(src, dst),
+                      ref.route(src, dst).size() - 1)
+                << mx << "x" << my << " " << src << " -> " << dst;
             ASSERT_EQ(mesh.inject(pkt), ref.inject(eq.curTick(), pkt))
                 << mx << "x" << my << " " << src << " -> " << dst;
         }
@@ -282,7 +285,9 @@ TEST_P(MeshRouteVsReference, EveryPairMatchesPathVectorRouting)
 INSTANTIATE_TEST_SUITE_P(
     Geometries, MeshRouteVsReference,
     ::testing::Values(std::pair{4u, 4u}, std::pair{8u, 8u},
-                      std::pair{16u, 4u}),
+                      std::pair{16u, 4u}, std::pair{2u, 8u},
+                      std::pair{8u, 2u}, std::pair{1u, 16u},
+                      std::pair{16u, 1u}, std::pair{32u, 32u}),
     [](const auto &info) {
         return std::to_string(info.param.first) + "x" +
             std::to_string(info.param.second);
