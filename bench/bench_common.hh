@@ -255,13 +255,15 @@ finishBenchInit()
         SPP_FATAL("{}", geo_err);
     if (g_trace.record && g_trace.dir.empty())
         SPP_FATAL("--record needs --trace-dir (or SPP_TRACE_DIR)");
-    // Probe the --set overrides now so a typo dies at startup, not
-    // in a worker thread mid-sweep.
+    defaultBenchScale(); // fatal on a bad SPP_BENCH_SCALE
+    // Probe the geometry and --set overrides now so a typo dies at
+    // startup, not in a worker thread mid-sweep.
     Config probe;
     applyGeometry(probe);
     const std::string cfg_err = configValidate(probe);
     if (!cfg_err.empty())
-        SPP_FATAL("--set: {}", cfg_err);
+        SPP_FATAL("{}{}", g_settings.empty() ? "config: " : "--set: ",
+                  cfg_err);
 }
 
 /** Parse the shared bench flags; call first thing in every driver's

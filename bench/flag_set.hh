@@ -17,6 +17,7 @@
 #define SPP_BENCH_FLAG_SET_HH
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -54,6 +55,33 @@ parseUnsigned(const char *flag, const char *text, std::uint64_t lo,
         SPP_FATAL("{} must be in [{}, {}], got '{}'", flag, lo, hi,
                   text);
     return value;
+}
+
+/**
+ * Strictly parse @p text as a finite number > 0; fatal (naming
+ * @p flag) on empty input, trailing characters, nan, inf, overflow
+ * or a value <= 0.
+ */
+inline double
+parsePositiveDouble(const char *flag, const char *text)
+{
+    errno = 0;
+    char *end = nullptr;
+    const double value = text != nullptr ? std::strtod(text, &end) : 0.0;
+    if (end == text || *end != '\0' || errno != 0 ||
+        !std::isfinite(value) || !(value > 0.0))
+        SPP_FATAL("{} expects a finite number > 0, got '{}'", flag,
+                  text ? text : "");
+    return value;
+}
+
+/** The workload scale benches use: SPP_BENCH_SCALE, else 1.0. */
+inline double
+defaultBenchScale()
+{
+    const char *env = std::getenv("SPP_BENCH_SCALE");
+    return env != nullptr ? parsePositiveDouble("SPP_BENCH_SCALE", env)
+                          : 1.0;
 }
 
 class FlagSet

@@ -85,21 +85,6 @@ class FdStreamBuf : public std::streambuf
     char buf_[4096];
 };
 
-double
-parsePositiveDouble(const char *flag, const std::string &v)
-{
-    std::size_t used = 0;
-    double parsed = 0.0;
-    try {
-        parsed = std::stod(v, &used);
-    } catch (...) {
-        used = 0;
-    }
-    if (used == 0 || used != v.size() || !(parsed > 0.0))
-        SPP_FATAL("{} expects a positive number, got '{}'", flag, v);
-    return parsed;
-}
-
 int
 serveSocket(SweepServer &server, const std::string &path)
 {
@@ -171,13 +156,14 @@ main(int argc, char **argv)
                "(default 0.25)",
                [&](const std::string &v) {
                    threshold =
-                       parsePositiveDouble("--triage-threshold", v);
+                       parsePositiveDouble("--triage-threshold",
+                                           v.c_str());
                });
     fs.onValue("--scale", "S",
                "default workload scale for requests without one "
                "(default SPP_BENCH_SCALE)",
                [&](const std::string &v) {
-                   scale = parsePositiveDouble("--scale", v);
+                   scale = parsePositiveDouble("--scale", v.c_str());
                });
     fs.parse(argc, argv);
     finishBenchInit();

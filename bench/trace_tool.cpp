@@ -102,7 +102,7 @@ parseRunArgs(int argc, char **argv, int first, RunArgs &out)
 {
     for (int i = first; i < argc; ++i) {
         if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-            out.scale = std::atof(argv[++i]);
+            out.scale = bench::parsePositiveDouble("--scale", argv[++i]);
         } else if (std::strcmp(argv[i], "--cores") == 0 &&
                    i + 1 < argc) {
             out.cores = static_cast<unsigned>(bench::parseUnsigned(
@@ -162,7 +162,7 @@ cmdRecord(int argc, char **argv)
     if (argc < 4)
         return usage();
     RunArgs args;
-    args.scale = defaultBenchScale();
+    args.scale = bench::defaultBenchScale();
     if (!parseRunArgs(argc, argv, 4, args))
         return usage();
     const std::string name = argv[2];
@@ -266,7 +266,7 @@ cmdBench(int argc, char **argv)
     if (argc < 3)
         return usage();
     RunArgs args;
-    args.scale = defaultBenchScale();
+    args.scale = bench::defaultBenchScale();
     if (!parseRunArgs(argc, argv, 3, args))
         return usage();
     const std::string name = argv[2];

@@ -255,12 +255,4 @@ runExperiment(const std::string &workload_name,
     return res;
 }
 
-double
-defaultBenchScale()
-{
-    if (const char *env = std::getenv("SPP_BENCH_SCALE"))
-        return std::atof(env);
-    return 1.0;
-}
-
 } // namespace spp

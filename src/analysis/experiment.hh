@@ -96,9 +96,6 @@ struct ExperimentResult
 ExperimentResult runExperiment(const std::string &workload_name,
                                const ExperimentConfig &cfg);
 
-/** The default scale benches use (keeps full sweeps fast). */
-double defaultBenchScale();
-
 } // namespace spp
 
 #endif // SPP_ANALYSIS_EXPERIMENT_HH

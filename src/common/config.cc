@@ -218,9 +218,13 @@ configValidate(const Config &c)
         return strfmt("Protocol::{} requires a predictor kind",
                       toString(c.protocol));
     }
-    if (c.coarseCoresPerBit == 0 || c.coarseCoresPerBit > c.numCores)
-        return strfmt("coarseCoresPerBit must be in [1, numCores], "
-                      "got {}",
+    // The coarse vector is the only format that reads the group
+    // size, so only it bounds it by the core count.
+    if (c.coarseCoresPerBit == 0 ||
+        (c.sharerFormat == SharerFormat::coarse &&
+         c.coarseCoresPerBit > c.numCores))
+        return strfmt("coarseCoresPerBit must be in [1, numCores] for "
+                      "the coarse format, got {}",
                       c.coarseCoresPerBit);
     if (c.sharerPointers == 0)
         return "sharerPointers must be non-zero";

@@ -17,6 +17,7 @@
 #define SPP_WORKLOAD_WORKLOAD_HH
 
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -31,12 +32,18 @@ struct WorkloadParams
     /** Scales iteration counts; 1.0 is the benchmark-default size. */
     double scale = 1.0;
 
-    /** Scaled iteration count helper (at least 1). */
+    /** Scaled iteration count helper, clamped to [1, UINT_MAX]
+     * before the cast so no scale converts out of range. */
     unsigned
     iters(unsigned base) const
     {
-        const auto n = static_cast<unsigned>(base * scale);
-        return n > 0 ? n : 1;
+        const double n = base * scale;
+        if (!(n >= 1.0))
+            return 1;
+        if (n >= static_cast<double>(
+                     std::numeric_limits<unsigned>::max()))
+            return std::numeric_limits<unsigned>::max();
+        return static_cast<unsigned>(n);
     }
 };
 

@@ -1,14 +1,16 @@
 /**
  * @file
  * Bench CLI frontend tests: strict numeric flag parsing (the
- * std::atoi replacement), mesh factorization for awkward core
- * counts, --mesh/--cores consistency validation, and initBench
+ * std::atoi/std::atof replacements), mesh factorization for awkward
+ * core counts, --mesh/--cores consistency validation, and initBench
  * death tests proving bad input dies at the flag site with exit
  * code 1 instead of wrapping or silently misconfiguring a sweep.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -76,6 +78,58 @@ TEST(ParseUnsignedDeathTest, RejectsOverflowAndOutOfRange)
                 testing::ExitedWithCode(1), "--cores");
     EXPECT_EXIT(parseUnsigned("--cores", "1025", 1, 1024),
                 testing::ExitedWithCode(1), "--cores");
+}
+
+TEST(ParsePositiveDouble, AcceptsFiniteNumbersAboveZero)
+{
+    EXPECT_EQ(parsePositiveDouble("--scale", "0.05"), 0.05);
+    EXPECT_EQ(parsePositiveDouble("--scale", "2"), 2.0);
+    EXPECT_EQ(parsePositiveDouble("--scale", "1e-3"), 1e-3);
+}
+
+TEST(ParsePositiveDoubleDeathTest, RejectsWhatAtofLetThrough)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char *bad : {"abc", "", "0.5x", "nan", "inf", "-inf",
+                            "1e999", "0", "-1", "-0.1"})
+        EXPECT_EXIT(parsePositiveDouble("--scale", bad),
+                    testing::ExitedWithCode(1), "--scale") << bad;
+    EXPECT_EXIT(parsePositiveDouble("--scale", nullptr),
+                testing::ExitedWithCode(1), "--scale");
+}
+
+TEST(DefaultBenchScaleDeathTest, NamesTheVariable)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // -1 used to hang fig01: the scaled iteration count wrapped.
+    for (const char *bad : {"-1", "abc", "nan", "inf", "0"}) {
+        EXPECT_EXIT(
+            {
+                setenv("SPP_BENCH_SCALE", bad, 1);
+                defaultBenchScale();
+            },
+            testing::ExitedWithCode(1), "SPP_BENCH_SCALE")
+            << bad;
+        EXPECT_EXIT(
+            {
+                setenv("SPP_BENCH_SCALE", bad, 1);
+                initBenchWith({});
+            },
+            testing::ExitedWithCode(1), "SPP_BENCH_SCALE")
+            << bad;
+    }
+}
+
+TEST(WorkloadParams, ItersClampsBeforeTheCast)
+{
+    WorkloadParams p;
+    p.scale = 0.05;
+    EXPECT_EQ(p.iters(100), 5u);
+    EXPECT_EQ(p.iters(10), 1u);
+    p.scale = 1e-300;
+    EXPECT_EQ(p.iters(100), 1u);
+    p.scale = 1e300;
+    EXPECT_EQ(p.iters(100), std::numeric_limits<unsigned>::max());
 }
 
 TEST(MeshFor, FactorsTowardSquare)
@@ -150,6 +204,11 @@ TEST(InitBenchDeathTest, DiesAtTheFlagSite)
                 testing::ExitedWithCode(1), "--mesh 5x5");
     EXPECT_EXIT(initBenchWith({"--record"}),
                 testing::ExitedWithCode(1), "--record");
+    // A config error without --set does not blame --set.
+    EXPECT_EXIT(initBenchWith({"--cores", "2", "--format", "coarse"}),
+                testing::ExitedWithCode(1), "config: coarseCoresPerBit");
+    EXPECT_EXIT(initBenchWith({"--set", "coarseCoresPerBit=0"}),
+                testing::ExitedWithCode(1), "--set: coarseCoresPerBit");
 }
 
 TEST(InitBench, AcceptsValidGeometry)
@@ -163,4 +222,15 @@ TEST(InitBench, AcceptsValidGeometry)
     g_cores = cores;
     g_mesh_x = mx;
     g_mesh_y = my;
+}
+
+TEST(InitBench, AcceptsFewerCoresThanTheCoarseGroup)
+{
+    // The default coarseCoresPerBit (4) only bounds the coarse format.
+    const unsigned cores = g_cores;
+    for (const char *n : {"1", "2", "3"}) {
+        initBenchWith({"--cores", n});
+        EXPECT_EQ(g_cores, static_cast<unsigned>(std::atoi(n)));
+    }
+    g_cores = cores;
 }
