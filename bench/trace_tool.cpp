@@ -102,14 +102,14 @@ parseRunArgs(int argc, char **argv, int first, RunArgs &out)
 {
     for (int i = first; i < argc; ++i) {
         if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-            out.scale = bench::parsePositiveDouble("--scale", argv[++i]);
+            out.scale = parsePositiveDouble("--scale", argv[++i]);
         } else if (std::strcmp(argv[i], "--cores") == 0 &&
                    i + 1 < argc) {
-            out.cores = static_cast<unsigned>(bench::parseUnsigned(
+            out.cores = static_cast<unsigned>(parseUnsigned(
                 "--cores", argv[++i], 1, maxCores));
         } else if (std::strcmp(argv[i], "--seed") == 0 &&
                    i + 1 < argc) {
-            out.seed = bench::parseUnsigned("--seed", argv[++i], 0,
+            out.seed = parseUnsigned("--seed", argv[++i], 0,
                                             ~std::uint64_t{0});
             out.seedSet = true;
         } else if (std::strcmp(argv[i], "--only") == 0 &&
@@ -350,7 +350,7 @@ cmdImportMcsim(int argc, char **argv)
     for (int i = 3; i < argc; ++i) {
         if (std::strcmp(argv[i], "--sync-every") == 0 &&
             i + 1 < argc) {
-            sync_every = static_cast<unsigned>(bench::parseUnsigned(
+            sync_every = static_cast<unsigned>(parseUnsigned(
                 "--sync-every", argv[++i], 1, 1u << 30));
         } else {
             inputs.push_back(argv[i]);

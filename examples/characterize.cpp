@@ -20,6 +20,7 @@
 #include "analysis/patterns.hh"
 #include "analysis/report.hh"
 #include "analysis/sweep.hh"
+#include "common/parse.hh"
 
 using namespace spp;
 
@@ -27,7 +28,8 @@ int
 main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "bodytrack";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+    const double scale =
+        argc > 2 ? parsePositiveDouble("scale", argv[2]) : 1.0;
 
     ExperimentConfig cfg;
     cfg.scale = scale;

@@ -21,6 +21,7 @@
 #include "analysis/experiment.hh"
 #include "analysis/report.hh"
 #include "analysis/sweep.hh"
+#include "common/parse.hh"
 
 using namespace spp;
 
@@ -68,7 +69,7 @@ main(int argc, char **argv)
             workload = arg;
             ++positional;
         } else if (positional == 1) {
-            scale = std::atof(arg);
+            scale = parsePositiveDouble("scale", arg);
             ++positional;
         } else {
             std::fprintf(stderr, "usage: %s [workload] [scale] "

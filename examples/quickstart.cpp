@@ -14,6 +14,7 @@
 #include "analysis/experiment.hh"
 #include "analysis/report.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 using namespace spp;
 
@@ -21,7 +22,8 @@ int
 main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "ocean";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+    const double scale =
+        argc > 2 ? parsePositiveDouble("scale", argv[2]) : 1.0;
 
     std::printf("SP-prediction quickstart: workload '%s', scale %g\n",
                 workload.c_str(), scale);

@@ -20,6 +20,7 @@
 #include "analysis/experiment.hh"
 #include "analysis/report.hh"
 #include "analysis/stats_report.hh"
+#include "common/parse.hh"
 #include "workload/workload.hh"
 
 using namespace spp;
@@ -93,7 +94,7 @@ main(int argc, char **argv)
             else
                 usage(argv[0]);
         } else if (arg == "--scale") {
-            cfg.scale = std::atof(next());
+            cfg.scale = parsePositiveDouble("--scale", next());
         } else if (arg == "--seed") {
             cfg.config.seed = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--entries") {

@@ -21,6 +21,7 @@
 
 #include "analysis/event_trace.hh"
 #include "analysis/report.hh"
+#include "common/parse.hh"
 #include "workload/workload.hh"
 
 using namespace spp;
@@ -65,7 +66,8 @@ main(int argc, char **argv)
     }
 
     const std::string workload = argc > 1 ? argv[1] : "streamcluster";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+    const double scale =
+        argc > 2 ? parsePositiveDouble("scale", argv[2]) : 1.0;
     const std::string path =
         argc > 3 ? argv[3] : "/tmp/spp_" + workload + ".trace";
 

@@ -11,6 +11,12 @@
 
 namespace spp {
 
+Tick
+fuzzTickBound(const FuzzCase &c)
+{
+    return c.maxTicks * std::max(1u, c.numCores / 64);
+}
+
 Config
 fuzzConfig(const FuzzCase &c)
 {
@@ -27,7 +33,7 @@ fuzzConfig(const FuzzCase &c)
     cfg.predictor = c.predictor;
     cfg.sharerFormat = c.sharerFormat;
     cfg.seed = c.workload.seed;
-    cfg.maxTicks = c.maxTicks;
+    cfg.maxTicks = fuzzTickBound(c);
     cfg.injectBug = c.injectBug;
     // Tiny caches: evictions, writebacks and capacity misses race
     // with the coherence traffic instead of everything fitting.
@@ -44,7 +50,7 @@ runFuzzCase(const FuzzCase &c)
 
     CheckerOptions copts;
     copts.abortOnViolation = false;
-    copts.watchdogTicks = c.maxTicks / 4;
+    copts.watchdogTicks = fuzzTickBound(c) / 4;
     copts.dataBase = layout::sharedBase;
     ProtocolChecker checker(sys.memSys(), copts);
     sys.syncManager().addListener(&checker);

@@ -33,6 +33,7 @@ struct FuzzCase
     wl::FuzzWorkloadParams workload;
     unsigned numCores = 8;
     SharerFormat sharerFormat = SharerFormat::full;
+    /** Tick bound per 64 cores; fuzzTickBound() scales it. */
     Tick maxTicks = 5'000'000;
     unsigned injectBug = 0;     ///< Config::injectBug pass-through.
 
@@ -62,6 +63,14 @@ struct FuzzResult
         return status != RunStatus::ok || !violations.empty();
     }
 };
+
+/**
+ * The tick bound @p c runs under: maxTicks per 64 cores, and never
+ * below maxTicks. Traffic per tick grows with the core count, so a
+ * fixed bound timed out healthy 256-core runs; the bound / 4
+ * no-progress watchdog still catches livelocks.
+ */
+Tick fuzzTickBound(const FuzzCase &c);
 
 /** Build the (small-cache) Config a fuzz case runs under. */
 Config fuzzConfig(const FuzzCase &c);

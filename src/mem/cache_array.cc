@@ -1,7 +1,7 @@
 #include "mem/cache_array.hh"
 
 #include <algorithm>
-#include <numeric>
+#include <memory>
 #include <vector>
 
 namespace spp {
@@ -34,8 +34,7 @@ CacheArray::CacheArray(unsigned size_bytes, unsigned assoc,
     bytes += -reinterpret_cast<std::uintptr_t>(bytes) % hostLineBytes;
     tags_ = reinterpret_cast<Addr *>(bytes);
     lines_ = reinterpret_cast<CacheLine *>(bytes + tag_bytes);
-    std::uninitialized_fill_n(tags_, n_lines_, emptyTag);
-    std::uninitialized_value_construct_n(lines_, n_lines_);
+    std::uninitialized_fill_n(tags_, n_lines_, unusedTag);
 }
 
 std::size_t
@@ -74,12 +73,12 @@ CacheArray::allocate(Addr line_addr, CacheLine &victim)
 {
     SPP_ASSERT(findWay(line_addr) == n_lines_,
                "allocate of already-present line {}", line_addr);
-    SPP_ASSERT(line_addr != emptyTag, "line address {} is the empty tag",
-               line_addr);
+    SPP_ASSERT(holdsLine(line_addr),
+               "line address {} is odd, like the empty tags", line_addr);
     victim = CacheLine{};
     const std::size_t base = setBase(line_addr);
     std::size_t i = base;
-    while (i < base + assoc_ && tags_[i] != emptyTag)
+    while (i < base + assoc_ && holdsLine(tags_[i]))
         ++i;
     if (i == base + assoc_) {
         // Full set: evict the least recently stamped line.
@@ -93,6 +92,8 @@ CacheArray::allocate(Addr line_addr, CacheLine &victim)
         ++stats_.evictions;
         if (isDirty(victim.state))
             ++stats_.dirtyEvictions;
+    } else if (tags_[i] == unusedTag) {
+        std::construct_at(&lines_[i]); // First write of this record.
     }
     CacheLine &target = lines_[i];
     tags_[i] = line_addr;
@@ -133,14 +134,21 @@ CacheArray::setLruClock(std::uint32_t next)
 void
 CacheArray::renumberLru()
 {
-    std::vector<unsigned> order(assoc_);
+    // Only ways holding a line have stamps that order anything (and
+    // only they are sure to have been written).
+    std::vector<std::size_t> order;
+    order.reserve(assoc_);
     for (std::size_t base = 0; base < n_lines_; base += assoc_) {
-        std::iota(order.begin(), order.end(), 0u);
-        std::sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
-            return lines_[base + a].lru < lines_[base + b].lru;
-        });
-        for (unsigned r = 0; r < assoc_; ++r)
-            lines_[base + order[r]].lru = r + 1;
+        order.clear();
+        for (std::size_t i = base; i < base + assoc_; ++i)
+            if (holdsLine(tags_[i]))
+                order.push_back(i);
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      return lines_[a].lru < lines_[b].lru;
+                  });
+        for (std::size_t r = 0; r < order.size(); ++r)
+            lines_[order[r]].lru = static_cast<std::uint32_t>(r + 1);
     }
     next_lru_ = assoc_ + 1;
 }

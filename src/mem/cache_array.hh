@@ -7,10 +7,14 @@
  * both the L1 filter cache and the private L2.
  *
  * Layout: each set's tags sit contiguously in a tag array (an empty
- * way holds emptyTag), apart from the CacheLine records, and both
- * arrays start on a host cache line. An 8-way set's tags fill one
- * 64-byte host line, so a search that misses reads one host line; a
- * hit reads that line and the hit way's record.
+ * way holds an odd sentinel), apart from the CacheLine records, and
+ * both arrays start on a host cache line. An 8-way set's tags fill
+ * one 64-byte host line, so a search that misses reads one host line;
+ * a hit reads that line and the hit way's record.
+ *
+ * Construction writes only the tag array (8 of a line's 40 bytes). A
+ * record is first written when allocate() takes its way, so a run
+ * pays in time and resident memory only for the records it touches.
  */
 
 #ifndef SPP_MEM_CACHE_ARRAY_HH
@@ -58,9 +62,19 @@ struct CacheStats
  *
  * A line leaves the array only through invalidate() or eviction, and
  * the caller of allocate() installs a valid state in the returned
- * line: a way is empty exactly when its tag-array entry is emptyTag,
- * which is what victim selection reads (an eviction asserts that its
- * victim is valid).
+ * line: a way is empty exactly when its tag is odd (unusedTag or
+ * emptyTag), which is what victim selection reads (an eviction
+ * asserts that its victim is valid).
+ *
+ * The record of an unusedTag way has never been written, and nothing
+ * reads it: a search reads a record only after its tag matches a
+ * (line-aligned, so even) address, forEachValid() and the stamp
+ * renumbering skip empty ways, and only full sets are scanned for a
+ * victim. allocate() value-initialises the record of an unusedTag
+ * way, so a fresh line reads lastPc == 0 and version == 0. An
+ * emptyTag way was invalidated; its record keeps the last occupant's
+ * lastPc and version, and allocate() rewrites only tag, state and
+ * stamp, as it does for an evicted way.
  *
  * LRU stamps are 32 bits. Only their order within a set matters, so
  * when the clock is about to wrap every set's stamps are renumbered
@@ -70,9 +84,12 @@ struct CacheStats
 class CacheArray
 {
   public:
-    /** Tag-array value of an empty way. It is not line-aligned for
-     * any line size above one byte; allocate() rejects it. */
-    static constexpr Addr emptyTag = ~Addr{0};
+    /** Tag of a way that has never held a line (record unwritten).
+     * Both sentinels are odd, so no line-aligned address equals
+     * either; allocate() rejects odd addresses. */
+    static constexpr Addr unusedTag = ~Addr{0};
+    /** Tag of a way whose line was invalidated (record kept). */
+    static constexpr Addr emptyTag = Addr{1};
 
     /**
      * @param size_bytes Total capacity.
@@ -138,12 +155,15 @@ class CacheArray
     forEachValid(Fn &&fn) const
     {
         for (std::size_t i = 0; i < n_lines_; ++i)
-            if (isValid(lines_[i].state))
+            if (holdsLine(tags_[i]) && isValid(lines_[i].state))
                 fn(lines_[i]);
     }
 
   private:
     static constexpr std::size_t hostLineBytes = 64;
+
+    /** Whether a way with tag @p tag holds a line (is not empty). */
+    static bool holdsLine(Addr tag) { return (tag & 1) == 0; }
 
     /** Index of @p line_addr's set's first way. */
     std::size_t
@@ -175,7 +195,8 @@ class CacheArray
     std::uint32_t next_lru_ = 1;
     std::size_t n_lines_;
     /** One block: the tag array, then the CacheLine records, from
-     * the first host line boundary in it. */
+     * the first host line boundary in it. Only the tags are
+     * initialised at construction. */
     std::unique_ptr<std::byte[]> block_;
     Addr *tags_;
     CacheLine *lines_;

@@ -142,6 +142,73 @@ TEST(CacheArray, InvalidatedWayIsReusedBeforeEviction)
     EXPECT_NE(c.peek(0x040), nullptr);
 }
 
+TEST(CacheArray, FreshWayIsZeroedAndReusedWayKeepsItsRecord)
+{
+    CacheArray c(128, 2, 64); // One set, two ways.
+    CacheLine victim;
+    CacheLine *l = c.allocate(0x000, victim); // Never-used way 0.
+    EXPECT_EQ(l->lastPc, 0u);
+    EXPECT_EQ(l->version, 0u);
+    l->state = Mesif::modified;
+    l->lastPc = 0x400100;
+    l->version = 7;
+
+    // Way 0 again, after an invalidation: the record is kept.
+    EXPECT_EQ(c.invalidate(0x000), Mesif::modified);
+    l = c.allocate(0x080, victim);
+    EXPECT_EQ(victim.state, Mesif::invalid);
+    EXPECT_EQ(l->tag, 0x080u);
+    EXPECT_EQ(l->state, Mesif::invalid);
+    EXPECT_EQ(l->lastPc, 0x400100u);
+    EXPECT_EQ(l->version, 7u);
+    l->state = Mesif::shared;
+    l->lastPc = 0x400200;
+    l->version = 8;
+
+    // Way 1 is still fresh.
+    CacheLine *m = c.allocate(0x040, victim);
+    EXPECT_EQ(victim.state, Mesif::invalid);
+    EXPECT_EQ(m->lastPc, 0u);
+    EXPECT_EQ(m->version, 0u);
+    m->state = Mesif::exclusive;
+
+    // Full set: 0x080 is the LRU line. The victim copy and the reused
+    // way both carry its record.
+    l = c.allocate(0x0c0, victim);
+    EXPECT_EQ(victim.tag, 0x080u);
+    EXPECT_EQ(victim.state, Mesif::shared);
+    EXPECT_EQ(victim.lastPc, 0x400200u);
+    EXPECT_EQ(victim.version, 8u);
+    EXPECT_EQ(l->tag, 0x0c0u);
+    EXPECT_EQ(l->state, Mesif::invalid);
+    EXPECT_EQ(l->lastPc, 0x400200u);
+    EXPECT_EQ(l->version, 8u);
+    EXPECT_EQ(c.stats().evictions.value(), 1u);
+}
+
+TEST(CacheArray, ClockWrapOnAPartlyFilledSet)
+{
+    CacheArray c(256, 4, 64); // One set, four ways.
+    CacheLine victim;
+    c.allocate(0x000, victim)->state = Mesif::shared;
+    c.allocate(0x040, victim)->state = Mesif::shared;
+    c.setLruClock(std::numeric_limits<std::uint32_t>::max() - 1);
+    EXPECT_NE(c.lookup(0x000), nullptr); // Takes the last stamp.
+    // These fills take the two unused ways, the first across the
+    // wrap, so the stamps are renumbered with a way still unused.
+    for (Addr a : {0x080, 0x0c0}) {
+        c.allocate(a, victim)->state = Mesif::shared;
+        EXPECT_EQ(victim.state, Mesif::invalid);
+    }
+    EXPECT_EQ(c.stats().evictions.value(), 0u);
+    EXPECT_EQ(c.validCount(), 4u);
+    for (Addr expect : {0x040, 0x000, 0x080, 0x0c0}) {
+        c.allocate(0x1000 + expect, victim)->state = Mesif::shared;
+        EXPECT_EQ(victim.tag, expect);
+    }
+    EXPECT_EQ(c.stats().evictions.value(), 4u);
+}
+
 // --- Reference model ---------------------------------------------------
 //
 // RefCacheArray is the array-of-records formulation: one record per way

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "check/fuzzer.hh"
 #include "check/protocol_checker.hh"
@@ -190,4 +191,17 @@ TEST(Fuzzer, NonSquareCoreCountsGetValidMesh)
     const FuzzResult r = runFuzzCase(c);
     EXPECT_EQ(r.status, RunStatus::ok);
     EXPECT_TRUE(r.violations.empty());
+}
+
+TEST(Fuzzer, TickBoundScalesPer64Cores)
+{
+    FuzzCase c;
+    for (const auto &[cores, bound] :
+         {std::pair{8u, 5'000'000ull}, std::pair{64u, 5'000'000ull},
+          std::pair{100u, 5'000'000ull}, std::pair{128u, 10'000'000ull},
+          std::pair{256u, 20'000'000ull}}) {
+        c.numCores = cores;
+        EXPECT_EQ(fuzzTickBound(c), bound) << cores;
+        EXPECT_EQ(fuzzConfig(c).maxTicks, bound) << cores;
+    }
 }
