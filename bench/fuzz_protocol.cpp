@@ -243,12 +243,17 @@ saveReport(const Options &o, const FuzzCase &c, const FuzzResult &r)
     return traced.tracePath;
 }
 
+/** Print a failing case's FAIL line; with @p details, also its
+ * violations, minimal reproducer and saved artifacts. */
 void
-printFailure(const Options &o, const FuzzCase &c, const FuzzResult &r)
+printFailure(const Options &o, const FuzzCase &c, const FuzzResult &r,
+             bool details)
 {
     std::printf("FAIL %s: status=%s violations=%zu\n",
                 describeFuzzCase(c).c_str(), toString(r.status),
                 r.violations.size());
+    if (!details)
+        return;
     for (const Violation &v : r.violations)
         std::printf("  [tick %llu] %s: %s\n",
                     static_cast<unsigned long long>(v.tick),
@@ -348,8 +353,10 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(messages), failures,
                 failures == 1 ? "" : "s");
 
-    if (failures && !o.expectCatch)
-        printFailure(o, cases[first_fail], results[first_fail]);
+    if (!o.expectCatch)
+        for (std::size_t i = first_fail; i < results.size(); ++i)
+            if (results[i].failed())
+                printFailure(o, cases[i], results[i], i == first_fail);
 
     if (o.expectCatch) {
         if (!failures) {

@@ -62,9 +62,11 @@ main(int argc, char **argv)
                              "[--jobs N]\n", argv[0]);
                 return 2;
             }
-            jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+            jobs = static_cast<unsigned>(
+                parseUnsigned("--jobs", argv[++i], 1, 65536));
         } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            jobs = static_cast<unsigned>(std::atoi(arg + 7));
+            jobs = static_cast<unsigned>(
+                parseUnsigned("--jobs", arg + 7, 1, 65536));
         } else if (positional == 0) {
             workload = arg;
             ++positional;

@@ -10,6 +10,8 @@
  *          [--depth 2] [--threshold 0.10] [--list]
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -96,18 +98,20 @@ main(int argc, char **argv)
         } else if (arg == "--scale") {
             cfg.scale = parsePositiveDouble("--scale", next());
         } else if (arg == "--seed") {
-            cfg.config.seed = std::strtoull(next(), nullptr, 10);
+            cfg.config.seed = parseUnsigned("--seed", next(), 0,
+                                            UINT64_MAX);
         } else if (arg == "--entries") {
-            cfg.config.predictorEntries =
-                static_cast<unsigned>(std::atoi(next()));
+            cfg.config.predictorEntries = static_cast<unsigned>(
+                parseUnsigned("--entries", next(), 0, UINT_MAX));
         } else if (arg == "--filter") {
             filter = true;
         } else if (arg == "--raw") {
             raw = true;
         } else if (arg == "--depth") {
-            depth = static_cast<unsigned>(std::atoi(next()));
+            depth = static_cast<unsigned>(
+                parseUnsigned("--depth", next(), 0, UINT_MAX));
         } else if (arg == "--threshold") {
-            threshold = std::atof(next());
+            threshold = parseDouble("--threshold", next());
         } else {
             usage(argv[0]);
         }

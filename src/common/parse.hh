@@ -44,6 +44,24 @@ parseUnsigned(const char *flag, const char *text, std::uint64_t lo,
 }
 
 /**
+ * Strictly parse @p text as a finite number; fatal (naming @p flag)
+ * on empty input, trailing characters, nan, inf or overflow. Range
+ * checks are left to the caller.
+ */
+inline double
+parseDouble(const char *flag, const char *text)
+{
+    errno = 0;
+    char *end = nullptr;
+    const double value = text != nullptr ? std::strtod(text, &end) : 0.0;
+    if (end == text || *end != '\0' || errno != 0 ||
+        !std::isfinite(value))
+        SPP_FATAL("{} expects a finite number, got '{}'", flag,
+                  text ? text : "");
+    return value;
+}
+
+/**
  * Strictly parse @p text as a finite number > 0; fatal (naming
  * @p flag) on empty input, trailing characters, nan, inf, overflow
  * or a value <= 0.
@@ -51,13 +69,10 @@ parseUnsigned(const char *flag, const char *text, std::uint64_t lo,
 inline double
 parsePositiveDouble(const char *flag, const char *text)
 {
-    errno = 0;
-    char *end = nullptr;
-    const double value = text != nullptr ? std::strtod(text, &end) : 0.0;
-    if (end == text || *end != '\0' || errno != 0 ||
-        !std::isfinite(value) || !(value > 0.0))
+    const double value = parseDouble(flag, text);
+    if (!(value > 0.0))
         SPP_FATAL("{} expects a finite number > 0, got '{}'", flag,
-                  text ? text : "");
+                  text);
     return value;
 }
 

@@ -98,6 +98,21 @@ TEST(ParsePositiveDoubleDeathTest, RejectsWhatAtofLetThrough)
                 testing::ExitedWithCode(1), "--scale");
 }
 
+TEST(ParseDouble, LeavesTheRangeToTheCaller)
+{
+    EXPECT_EQ(parseDouble("--threshold", "0.1"), 0.1);
+    EXPECT_EQ(parseDouble("--threshold", "0"), 0.0);
+    EXPECT_EQ(parseDouble("--threshold", "-2.5"), -2.5);
+}
+
+TEST(ParseDoubleDeathTest, RejectsTrailingTextAndNonFinite)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char *bad : {"abc", "", "0.5x", "nan", "inf", "1e999"})
+        EXPECT_EXIT(parseDouble("--threshold", bad),
+                    testing::ExitedWithCode(1), "--threshold") << bad;
+}
+
 TEST(DefaultBenchScaleDeathTest, NamesTheVariable)
 {
     testing::GTEST_FLAG(death_test_style) = "threadsafe";
