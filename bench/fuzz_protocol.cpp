@@ -6,9 +6,8 @@
  * protocol/predictor combination with the invariant checker attached
  * and report any violation, timeout or deadlock. The first failure is
  * shrunk to a minimal reproducer and printed as a replayable command
- * line; with --report DIR an access-level trace (replayable via
- * examples/trace_replay --load) and the failing message log are saved
- * there.
+ * line; with --report DIR its failure log (the case, its reproducer,
+ * violations and recent messages) is saved there.
  *
  * Single-case mode: pass --seed (plus the workload-shape flags a
  * reproducer line carries) to re-run exactly one case.
@@ -32,6 +31,7 @@
 
 #include "analysis/sweep.hh"
 #include "check/fuzzer.hh"
+#include "common/content_store.hh"
 #include "common/format.hh"
 #include "flag_set.hh"
 #include "common/logging.hh"
@@ -209,38 +209,33 @@ configGrid(const Options &o)
     return grid;
 }
 
-/** Save failure artifacts; returns the saved trace path (or ""). */
+/**
+ * Write the failure log of @p c (which ended as @p r) into the
+ * report directory, naming @p minimal, its shrunk reproducer, too.
+ * Returns the log's path, or "" without --report.
+ */
 std::string
-saveReport(const Options &o, const FuzzCase &c, const FuzzResult &r)
+saveReport(const Options &o, const FuzzCase &c, const FuzzResult &r,
+           const FuzzCase &minimal)
 {
     if (o.report.empty())
         return {};
-    const std::string stem = o.report + "/fuzz_" +
-        toString(c.protocol) + "_seed" +
-        std::to_string(c.workload.seed);
-
-    // Deterministic re-run with trace capture attached.
-    FuzzCase traced = c;
-    traced.tracePath = stem + ".trace";
-    runFuzzCase(traced);
-
-    std::FILE *log = std::fopen((stem + ".log").c_str(), "w");
-    if (log) {
-        std::fprintf(log, "reproducer: %s\nstatus: %s\n",
-                     describeFuzzCase(c).c_str(),
-                     toString(r.status));
-        for (const Violation &v : r.violations)
-            std::fprintf(log, "[tick %llu] %s: %s\n",
-                         static_cast<unsigned long long>(v.tick),
-                         v.rule.c_str(), v.detail.c_str());
-        if (!r.outstanding.empty())
-            std::fprintf(log, "outstanding:\n%s\n",
-                         r.outstanding.c_str());
-        std::fprintf(log, "recent messages:\n%s",
-                     r.trace.c_str());
-        std::fclose(log);
-    }
-    return traced.tracePath;
+    const std::string path = strfmt("{}/fuzz_{}_seed{}.log", o.report,
+                                    toString(c.protocol),
+                                    c.workload.seed);
+    std::string log = strfmt("case: {}\nreproducer: {}\nstatus: {}\n",
+                             describeFuzzCase(c),
+                             describeFuzzCase(minimal),
+                             toString(r.status));
+    for (const Violation &v : r.violations)
+        log += strfmt("[tick {}] {}: {}\n", v.tick, v.rule, v.detail);
+    if (!r.outstanding.empty())
+        log += strfmt("outstanding:\n{}\n", r.outstanding);
+    log += "recent messages:\n" + r.trace;
+    std::string err;
+    if (!writeFileTextAtomic(path, log, err))
+        SPP_FATAL("cannot write {}: {}", path, err);
+    return path;
 }
 
 /** Print a failing case's FAIL line; with @p details, also its
@@ -267,11 +262,9 @@ printFailure(const Options &o, const FuzzCase &c, const FuzzResult &r,
         std::printf("minimal reproducer: %s\n",
                     describeFuzzCase(minimal).c_str());
     }
-    const std::string trace = saveReport(o, minimal, r);
-    if (!trace.empty())
-        std::printf("saved artifacts: %s (+ .log); replay with "
-                    "examples/trace_replay --load %s\n",
-                    trace.c_str(), trace.c_str());
+    const std::string log = saveReport(o, c, r, minimal);
+    if (!log.empty())
+        std::printf("saved failure log: %s\n", log.c_str());
 }
 
 } // namespace

@@ -87,6 +87,7 @@ dumpStats(std::ostream &os, const RunResult &r,
     line(os, noc, "bytes", r.noc.flitBytes.value());
     line(os, noc, "byte_hops", r.noc.byteHops.value());
     line(os, noc, "byte_routers", r.noc.byteRouters.value());
+    line(os, noc, "router_traversals", r.noc.routerTraversals.value());
     avg(os, noc, "packet_latency", r.noc.packetLatency);
     static const char *cls_names[] = {"request", "pred_request",
                                       "forward", "response", "data",

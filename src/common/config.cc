@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cerrno>
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <limits>
@@ -206,7 +207,7 @@ configValidate(const Config &c)
         !std::has_single_bit(sets))
         return strfmt("L2 set count must be a power of two, got {}",
                       sets);
-    if (c.hotThreshold <= 0.0 || c.hotThreshold >= 1.0)
+    if (!(c.hotThreshold > 0.0 && c.hotThreshold < 1.0))
         return strfmt("hotThreshold must be in (0, 1), got {}",
                       c.hotThreshold);
     if (c.historyDepth == 0 || c.historyDepth > 8)
@@ -300,9 +301,9 @@ parseFieldValue(const char *name, const std::string &v, double &out)
     } catch (...) {
         used = 0;
     }
-    if (used == 0 || used != v.size())
-        return std::string(name) + " expects a number, got '" + v +
-            "'";
+    if (used == 0 || used != v.size() || !std::isfinite(parsed))
+        return std::string(name) + " expects a finite number, got '" +
+            v + "'";
     out = parsed;
     return "";
 }

@@ -17,6 +17,27 @@ toString(RunStatus s)
     return "?";
 }
 
+std::unique_ptr<DestinationPredictor>
+makePredictor(const Config &cfg, PredictorKind kind)
+{
+    switch (kind) {
+      case PredictorKind::sp:
+        return std::make_unique<SpPredictor>(cfg, cfg.numCores);
+      case PredictorKind::addr:
+        return std::make_unique<GroupPredictor>(
+            cfg, cfg.numCores, GroupIndex::macroBlock);
+      case PredictorKind::inst:
+        return std::make_unique<GroupPredictor>(
+            cfg, cfg.numCores, GroupIndex::instruction);
+      case PredictorKind::uni:
+        return std::make_unique<GroupPredictor>(
+            cfg, cfg.numCores, GroupIndex::none);
+      case PredictorKind::none:
+        break;
+    }
+    return nullptr;
+}
+
 CmpSystem::CmpSystem(const Config &cfg) : cfg_(cfg)
 {
     cfg_.validate();
@@ -24,29 +45,11 @@ CmpSystem::CmpSystem(const Config &cfg) : cfg_(cfg)
 
     if (cfg_.protocol == Protocol::predicted ||
         cfg_.protocol == Protocol::multicast) {
-        switch (cfg_.predictor) {
-          case PredictorKind::sp: {
-            auto sp = std::make_unique<SpPredictor>(cfg_,
-                                                    cfg_.numCores);
-            sp_predictor_ = sp.get();
-            predictor_ = std::move(sp);
-            break;
-          }
-          case PredictorKind::addr:
-            predictor_ = std::make_unique<GroupPredictor>(
-                cfg_, cfg_.numCores, GroupIndex::macroBlock);
-            break;
-          case PredictorKind::inst:
-            predictor_ = std::make_unique<GroupPredictor>(
-                cfg_, cfg_.numCores, GroupIndex::instruction);
-            break;
-          case PredictorKind::uni:
-            predictor_ = std::make_unique<GroupPredictor>(
-                cfg_, cfg_.numCores, GroupIndex::none);
-            break;
-          case PredictorKind::none:
+        if (cfg_.predictor == PredictorKind::none)
             SPP_FATAL("predicted protocol without predictor");
-        }
+        predictor_ = makePredictor(cfg_, cfg_.predictor);
+        if (cfg_.predictor == PredictorKind::sp)
+            sp_predictor_ = static_cast<SpPredictor *>(predictor_.get());
     }
 
     if (cfg_.protocol == Protocol::broadcast) {

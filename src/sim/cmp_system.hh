@@ -56,6 +56,14 @@ struct RunResult
 };
 
 /**
+ * Build the destination-set predictor @p kind names, sized for
+ * @p cfg's cores; nullptr for PredictorKind::none. An SP predictor
+ * only learns once it is registered as a sync listener.
+ */
+std::unique_ptr<DestinationPredictor> makePredictor(const Config &cfg,
+                                                    PredictorKind kind);
+
+/**
  * One simulated CMP. Construct, optionally attach observers, then
  * run() a workload.
  */

@@ -30,7 +30,7 @@ struct TelemetryOptions
     bool emitManifest = true;   ///< <label>.manifest.json
 
     /** Chrome-trace event cap; drops are counted, not silent. */
-    std::size_t maxTraceEvents = 1u << 20;
+    std::size_t maxChromeEvents = 1u << 20;
 
     /** Wall-clock self-profiling of the simulator (kernel, protocol,
      * predictor, NoC scopes). Adds prof.* gauges to the series and a

@@ -312,7 +312,7 @@ RunTelemetry::attach(CmpSystem &sys)
 
     if (opts_.emitTrace) {
         trace_ = std::make_unique<ChromeTraceWriter>(
-            opts_.maxTraceEvents);
+            opts_.maxChromeEvents);
         trace_->setProcessName(label_);
         for (unsigned c = 0; c < sys.config().numCores; ++c)
             trace_->setThreadName(c, strfmt("core {}", c));

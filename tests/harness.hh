@@ -22,7 +22,7 @@
 #include "core/sp_predictor.hh"
 #include "event/event_queue.hh"
 #include "noc/mesh.hh"
-#include "predict/group_predictor.hh"
+#include "sim/cmp_system.hh"
 
 namespace spp {
 namespace test {
@@ -36,30 +36,20 @@ class ProtoHarness
     {
         cfg_.validate();
         mesh = std::make_unique<Mesh>(cfg_, eq);
-        DestinationPredictor *pred = nullptr;
-        if (cfg_.predictor == PredictorKind::sp) {
-            sp.emplace(cfg_, cfg_.numCores);
-            pred = &*sp;
-        } else if (cfg_.predictor != PredictorKind::none) {
-            GroupIndex idx = GroupIndex::none;
-            if (cfg_.predictor == PredictorKind::addr)
-                idx = GroupIndex::macroBlock;
-            else if (cfg_.predictor == PredictorKind::inst)
-                idx = GroupIndex::instruction;
-            group.emplace(cfg_, cfg_.numCores, idx);
-            pred = &*group;
-        }
+        pred = makePredictor(cfg_, cfg_.predictor);
+        if (cfg_.predictor == PredictorKind::sp)
+            sp = static_cast<SpPredictor *>(pred.get());
         switch (cfg_.protocol) {
           case Protocol::broadcast:
             sys = std::make_unique<BroadcastMemSys>(cfg_, eq, *mesh);
             break;
           case Protocol::multicast:
             sys = std::make_unique<MulticastMemSys>(cfg_, eq, *mesh,
-                                                    pred);
+                                                    pred.get());
             break;
           default:
             sys = std::make_unique<DirectoryMemSys>(cfg_, eq, *mesh,
-                                                    pred);
+                                                    pred.get());
         }
     }
 
@@ -121,8 +111,8 @@ class ProtoHarness
 
     EventQueue eq;
     std::unique_ptr<Mesh> mesh;
-    std::optional<SpPredictor> sp;
-    std::optional<GroupPredictor> group;
+    std::unique_ptr<DestinationPredictor> pred;
+    SpPredictor *sp = nullptr;          ///< pred, when it is SP.
     std::unique_ptr<MemSys> sys;
 
   private:

@@ -244,7 +244,8 @@ TEST(StatsReport, DumpsEveryGroup)
          {"x.ticks", "x.mem.misses", "x.mem.communicating_misses",
           "x.pred.sufficient", "x.pred.sufficient_by_source.history",
           "x.sp.epochs_started", "x.noc.bytes",
-          "x.noc.bytes_by_class.data", "x.sync.sync_points"}) {
+          "x.noc.router_traversals", "x.noc.bytes_by_class.data",
+          "x.sync.sync_points"}) {
         EXPECT_NE(s.find(key), std::string::npos) << key;
     }
     // Values match the run result.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -264,6 +265,19 @@ TEST(Config, RejectsNonPowerOfTwoSetCounts)
         cfg.l2Bytes = 3 * 1024 * 1024;
         cfg.validate();
     }, "L2 set count");
+}
+
+TEST(Config, RejectsNanThreshold)
+{
+    Config cfg;
+    for (const char *v : {"nan", "inf", "-inf"})
+        EXPECT_EQ(configSetField(cfg, "hotThreshold", v),
+                  std::string("hotThreshold expects a finite number, "
+                              "got '") + v + "'");
+    EXPECT_DOUBLE_EQ(cfg.hotThreshold, Config{}.hotThreshold);
+
+    cfg.hotThreshold = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(configValidate(cfg), "hotThreshold must be in (0, 1), got nan");
 }
 
 TEST(Config, DeathOnPredictedWithoutPredictor)
